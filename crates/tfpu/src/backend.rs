@@ -1,31 +1,38 @@
-//! [`FpuModel`] — the [`SmallFloatUnit`] as a pluggable `flexfloat`
-//! execution backend.
+//! [`FpuModel`] — the [`SmallFloatUnit`](crate::SmallFloatUnit)'s
+//! cycle/energy account as a pluggable `flexfloat` execution backend.
 //!
-//! Installing this backend (via `flexfloat::Engine::with`) routes every
-//! `Fx`/`FlexFloat` operation through the microarchitectural FPU model:
-//! add/sub/mul in the four platform formats execute on
-//! [`SmallFloatUnit::scalar`] and accumulate the unit's *measured* latency
-//! and energy, conversions go through [`SmallFloatUnit::convert`], and the
-//! operations the unit does not implement in hardware — division, square
-//! root (software-emulated on the PULPino core, exactly as in the paper)
-//! and the quiet comparisons — fall back to the bit-exact `tp-softfloat`
-//! kernels while being counted separately in [`MeasuredStats`].
+//! Installing this backend (via `flexfloat::Engine::with`) charges every
+//! `Fx`/`FlexFloat` operation to the microarchitectural FPU model:
+//! add/sub/mul in the four platform formats are charged the latency and
+//! energy [`SmallFloatUnit::scalar`](crate::SmallFloatUnit::scalar)
+//! charges, FP→FP conversions what
+//! [`SmallFloatUnit::convert`](crate::SmallFloatUnit::convert) charges,
+//! and the operations the unit does not implement in hardware — division,
+//! square root and FMA (software-emulated on the PULPino core, exactly as
+//! in the paper), the quiet comparisons, and formats outside the
+//! platform's four — are counted separately in [`MeasuredStats`] with no
+//! hardware charge.
 //!
-//! Results are **bit-identical** to the other two backends for every
-//! operation (the unit's datapaths are the same softfloat kernels), so a
-//! kernel run under `FpuModel` produces the same outputs and
-//! `TraceCounts` as the emulated fast path — plus a measured
-//! cycle/energy account that `tp-platform` cross-validates against its
-//! analytic [`CycleReport`](../tp_platform/struct.CycleReport.html).
+//! The model counts and does not compute: each operation is one relaxed
+//! atomic increment on its class's bucket, and the result comes from
+//! [`Emulated`] — native `f64` plus one rounding, which is exact for all
+//! four platform formats (`2m + 2 <= 52`, Figueroa's double-rounding
+//! bound) and falls back to the `tp-softfloat` kernels for wider ones. A
+//! kernel run under `FpuModel` therefore produces the same outputs and
+//! `TraceCounts` as the emulated fast path — plus a measured cycle/energy
+//! account that `tp-platform` cross-validates against its analytic
+//! [`CycleReport`](../tp_platform/struct.CycleReport.html). The
+//! independent integer datapath is the `SoftFloat` backend's.
 
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::Arc;
 
-use flexfloat::backend::{BinOp, FlagSet, FpBackend};
-use tp_formats::{FormatKind, FpFormat, RoundingMode};
-use tp_softfloat::ops;
+use flexfloat::backend::{BinOp, Emulated, FpBackend};
+use tp_formats::{FormatKind, FpFormat, ALL_KINDS};
 
+use crate::energy::EnergyTable;
 use crate::op::ArithOp;
-use crate::unit::{FpuStats, Issue, SmallFloatUnit};
+use crate::unit::{convert_charge, scalar_charge, FpuStats};
 
 /// A tap observing every operation the backend accounts: the op class,
 /// the formats involved, and the unit's cycle/energy charge (0 for
@@ -33,8 +40,8 @@ use crate::unit::{FpuStats, Issue, SmallFloatUnit};
 /// [`FpuModel::with_sink`]; with no sink the backend never builds or
 /// reports any of this, so ordinary runs pay nothing.
 ///
-/// The tap is **observational by contract**: it sees each op *after*
-/// the result is computed and must not influence it. `tp_obs::attr` is
+/// The tap is **observational by contract**: it sees each op as the
+/// op is counted and cannot influence its result. `tp_obs::attr` is
 /// the intended receiver — its table is keyed on (kernel, phase,
 /// op-class, format-pair) and reconciles exactly against
 /// [`MeasuredStats`] (no dropped or double-counted ops: every backend
@@ -73,11 +80,12 @@ fn fmt_label(fmt: FpFormat) -> &'static str {
     FormatKind::of_format(fmt).map_or("off-grid", kind_name)
 }
 
-/// Execution counts accumulated by an [`FpuModel`] backend: the unit's own
-/// statistics plus the operations the unit has no hardware block for.
+/// Execution counts accumulated by an [`FpuModel`] backend: the unit's
+/// charged instructions plus the operations the unit has no hardware
+/// block for.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct MeasuredStats {
-    /// Statistics of the instructions the `SmallFloatUnit` executed
+    /// Statistics of the instructions charged to the `SmallFloatUnit`
     /// (arithmetic in the four platform formats, and conversions).
     pub fpu: FpuStats,
     /// Divisions, software-emulated (no divider slice in Fig. 3).
@@ -177,19 +185,53 @@ impl EnergyAccount {
     }
 }
 
-#[derive(Debug, Default)]
-struct Inner {
-    unit: SmallFloatUnit,
-    counts: MeasuredStats,
+// Bucket layout. The unit-charged classes come first, so a bucket index
+// below `UNIT_BUCKETS` is also the row of its charge in `FpuModel::charges`.
+/// add/sub/mul × the four kinds, at `op * 4 + kind`.
+const ARITH: usize = 0;
+/// FP→FP conversions, 4 × 4 kinds, at `CONVERT + from * 4 + to`.
+const CONVERT: usize = 12;
+const UNIT_BUCKETS: usize = 28;
+const DIV: usize = 28;
+const SQRT: usize = 29;
+const FMA: usize = 30;
+const CMP: usize = 31;
+const OFF_GRID: usize = 32;
+const BUCKETS: usize = 33;
+
+fn arith_bucket(op: ArithOp, kind: FormatKind) -> usize {
+    ARITH + op as usize * 4 + kind as usize
 }
 
-/// The `SmallFloatUnit` adapter backend: routes `flexfloat` operations
-/// through the FPU cycle/energy model, accumulating [`MeasuredStats`].
+fn convert_bucket(from: FormatKind, to: FormatKind) -> usize {
+    CONVERT + from as usize * 4 + to as usize
+}
+
+/// Latency and energy of every unit-charged bucket, read from the same
+/// functions `SmallFloatUnit` and `operation_modes` charge with.
+fn charge_table() -> [(u32, f64); UNIT_BUCKETS] {
+    let energy = EnergyTable::paper();
+    let mut table = [(0, 0.0); UNIT_BUCKETS];
+    for from in ALL_KINDS {
+        for op in [ArithOp::Add, ArithOp::Sub, ArithOp::Mul] {
+            table[arith_bucket(op, from)] = scalar_charge(&energy, op, from);
+        }
+        for to in ALL_KINDS {
+            table[convert_bucket(from, to)] = convert_charge(&energy, from, to);
+        }
+    }
+    table
+}
+
+/// The `SmallFloatUnit` accounting backend: counts every `flexfloat`
+/// operation in its class's bucket and computes the result with
+/// [`Emulated`], accumulating [`MeasuredStats`].
 ///
 /// The backend is shared as `Arc<dyn FpBackend>` and may be installed on
-/// several worker threads at once; the unit state is behind a mutex
-/// (kernel evaluation is single-threaded per run, so there is no
-/// contention in practice — the lock is for soundness, not throughput).
+/// several worker threads at once: the buckets are atomic counters, so
+/// concurrent operations are never lost. A [`FpuModel::stats`] taken
+/// while other threads are still issuing reads each bucket once and may
+/// straddle an operation; taken after they finish, it is exact.
 ///
 /// ```
 /// use std::sync::Arc;
@@ -209,29 +251,29 @@ struct Inner {
 /// assert_eq!(stats.fpu.total_latency, 1); // binary8 add is single-cycle
 /// assert!(stats.fpu.total_energy_pj > 0.0);
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct FpuModel {
-    inner: Mutex<Inner>,
+    counts: [AtomicU64; BUCKETS],
+    /// Cycles and pJ per operation of each unit-charged bucket.
+    charges: [(u32, f64); UNIT_BUCKETS],
     sink: Option<Arc<dyn AttributionSink>>,
 }
 
+impl Default for FpuModel {
+    fn default() -> Self {
+        FpuModel {
+            counts: std::array::from_fn(|_| AtomicU64::new(0)),
+            charges: charge_table(),
+            sink: None,
+        }
+    }
+}
+
 impl FpuModel {
-    /// A backend over a unit with the paper-calibrated energy table.
+    /// A backend charging the paper-calibrated energy table.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// A backend over a unit with a custom energy table.
-    #[must_use]
-    pub fn with_unit(unit: SmallFloatUnit) -> Self {
-        FpuModel {
-            inner: Mutex::new(Inner {
-                unit,
-                counts: MeasuredStats::default(),
-            }),
-            sink: None,
-        }
     }
 
     /// A backend that additionally reports every accounted op to `sink`
@@ -239,48 +281,71 @@ impl FpuModel {
     #[must_use]
     pub fn with_sink(sink: Arc<dyn AttributionSink>) -> Self {
         FpuModel {
-            inner: Mutex::new(Inner::default()),
             sink: Some(sink),
+            ..Self::default()
         }
     }
 
-    fn tap(
-        &self,
-        class: &'static str,
-        from: &'static str,
-        to: &'static str,
-        issue: Option<&Issue>,
-    ) {
+    /// Counts one operation in `bucket` and reports it to the sink, if any.
+    fn count(&self, bucket: usize, class: &'static str, from: &'static str, to: &'static str) {
+        self.counts[bucket].fetch_add(1, Relaxed);
         if let Some(sink) = &self.sink {
-            let (cycles, energy) = issue.map_or((0, 0.0), |i| (u64::from(i.latency), i.energy_pj));
+            let (cycles, energy) = self
+                .charges
+                .get(bucket)
+                .map_or((0, 0.0), |&(latency, energy)| (u64::from(latency), energy));
             sink.record(class, from, to, cycles, energy);
         }
     }
 
+    fn count_off_grid(&self) {
+        self.count(OFF_GRID, "off_grid", "off-grid", "off-grid");
+    }
+
+    /// Counts a software-emulated op: `class` in `bucket` for the
+    /// platform formats, off-grid otherwise.
+    fn count_emulated(&self, fmt: FpFormat, bucket: usize, class: &'static str) {
+        match FormatKind::of_format(fmt) {
+            Some(kind) => self.count(bucket, class, kind_name(kind), kind_name(kind)),
+            None => self.count_off_grid(),
+        }
+    }
+
+    fn count_cmp(&self, fmt: FpFormat) {
+        self.count(CMP, "cmp", fmt_label(fmt), fmt_label(fmt));
+    }
+
     /// The statistics accumulated so far.
+    ///
+    /// The unit totals are bucket count × charge, summed: every charge
+    /// sits on the 2⁻²⁰ pJ grid, so the energy is exact and bit-identical
+    /// to an op-by-op sum (see the `energy` module docs).
     #[must_use]
     pub fn stats(&self) -> MeasuredStats {
-        let inner = self.lock();
+        let n = |bucket: usize| self.counts[bucket].load(Relaxed);
+        let mut fpu = FpuStats::default();
+        for (bucket, &(latency, energy)) in self.charges.iter().enumerate() {
+            let ops = n(bucket);
+            fpu.instructions += ops;
+            fpu.total_latency += ops * u64::from(latency);
+            fpu.total_energy_pj += ops as f64 * energy;
+        }
         MeasuredStats {
-            fpu: inner.unit.stats(),
-            ..inner.counts
+            fpu,
+            emulated_div: n(DIV),
+            emulated_sqrt: n(SQRT),
+            emulated_fma: n(FMA),
+            cmp_ops: n(CMP),
+            off_grid_ops: n(OFF_GRID),
         }
     }
 
     /// Resets all accumulated statistics.
     pub fn reset(&self) {
-        let mut inner = self.lock();
-        inner.unit.reset();
-        inner.counts = MeasuredStats::default();
+        for count in &self.counts {
+            count.store(0, Relaxed);
+        }
     }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
-        self.inner.lock().expect("FpuModel state poisoned")
-    }
-}
-
-fn enc(fmt: FpFormat, x: f64) -> u64 {
-    fmt.encode_in_grid(x)
 }
 
 impl FpBackend for FpuModel {
@@ -289,127 +354,71 @@ impl FpBackend for FpuModel {
     }
 
     fn bin_op(&self, fmt: FpFormat, op: BinOp, a: f64, b: f64) -> f64 {
-        let mut inner = self.lock();
-        let (ab, bb) = (enc(fmt, a), enc(fmt, b));
-        let bits = match (FormatKind::of_format(fmt), op) {
+        match (FormatKind::of_format(fmt), op) {
             (Some(kind), BinOp::Add | BinOp::Sub | BinOp::Mul) => {
                 let (arith, class) = match op {
                     BinOp::Add => (ArithOp::Add, "add"),
                     BinOp::Sub => (ArithOp::Sub, "sub"),
                     _ => (ArithOp::Mul, "mul"),
                 };
-                let issue = inner.unit.scalar(arith, kind, ab, bb);
                 let name = kind_name(kind);
-                self.tap(class, name, name, Some(&issue));
-                issue.lanes[0]
+                self.count(arith_bucket(arith, kind), class, name, name);
             }
-            (Some(kind), BinOp::Div) => {
-                // No divider slice: emulated in software on the core.
-                inner.counts.emulated_div += 1;
-                let name = kind_name(kind);
-                self.tap("div_emulated", name, name, None);
-                ops::div(fmt, ab, bb, RoundingMode::default())
-            }
-            (None, _) => {
-                inner.counts.off_grid_ops += 1;
-                self.tap("off_grid", "off-grid", "off-grid", None);
-                match op {
-                    BinOp::Add => ops::add(fmt, ab, bb, RoundingMode::default()),
-                    BinOp::Sub => ops::sub(fmt, ab, bb, RoundingMode::default()),
-                    BinOp::Mul => ops::mul(fmt, ab, bb, RoundingMode::default()),
-                    BinOp::Div => ops::div(fmt, ab, bb, RoundingMode::default()),
-                }
-            }
-        };
-        fmt.decode_to_f64(bits)
+            // No divider slice: emulated in software on the core.
+            (_, BinOp::Div) => self.count_emulated(fmt, DIV, "div_emulated"),
+            (None, _) => self.count_off_grid(),
+        }
+        Emulated.bin_op(fmt, op, a, b)
     }
 
     fn sqrt(&self, fmt: FpFormat, x: f64) -> f64 {
-        let mut inner = self.lock();
-        if let Some(kind) = FormatKind::of_format(fmt) {
-            inner.counts.emulated_sqrt += 1;
-            let name = kind_name(kind);
-            self.tap("sqrt_emulated", name, name, None);
-        } else {
-            inner.counts.off_grid_ops += 1;
-            self.tap("off_grid", "off-grid", "off-grid", None);
-        }
-        fmt.decode_to_f64(ops::sqrt(fmt, enc(fmt, x), RoundingMode::default()))
+        self.count_emulated(fmt, SQRT, "sqrt_emulated");
+        Emulated.sqrt(fmt, x)
     }
 
     fn fma(&self, fmt: FpFormat, a: f64, b: f64, c: f64) -> f64 {
-        let mut inner = self.lock();
-        if let Some(kind) = FormatKind::of_format(fmt) {
-            inner.counts.emulated_fma += 1;
-            let name = kind_name(kind);
-            self.tap("fma_emulated", name, name, None);
-        } else {
-            inner.counts.off_grid_ops += 1;
-            self.tap("off_grid", "off-grid", "off-grid", None);
-        }
-        let bits = ops::fused_mul_add(
-            fmt,
-            enc(fmt, a),
-            enc(fmt, b),
-            enc(fmt, c),
-            RoundingMode::default(),
-        );
-        fmt.decode_to_f64(bits)
+        self.count_emulated(fmt, FMA, "fma_emulated");
+        Emulated.fma(fmt, a, b, c)
     }
 
     fn cast(&self, from: FpFormat, to: FpFormat, x: f64) -> f64 {
-        let mut inner = self.lock();
         match (FormatKind::of_format(from), FormatKind::of_format(to)) {
             (Some(fk), Some(tk)) => {
-                let issue = inner.unit.convert(fk, tk, enc(from, x));
-                self.tap("convert", kind_name(fk), kind_name(tk), Some(&issue));
-                to.decode_to_f64(issue.lanes[0])
+                self.count(
+                    convert_bucket(fk, tk),
+                    "convert",
+                    kind_name(fk),
+                    kind_name(tk),
+                );
             }
-            _ => {
-                inner.counts.off_grid_ops += 1;
-                self.tap("off_grid", "off-grid", "off-grid", None);
-                to.decode_to_f64(ops::convert(
-                    from,
-                    to,
-                    enc(from, x),
-                    RoundingMode::default(),
-                ))
-            }
+            _ => self.count_off_grid(),
         }
+        Emulated.cast(from, to, x)
     }
 
     fn min(&self, fmt: FpFormat, a: f64, b: f64) -> f64 {
-        self.lock().counts.cmp_ops += 1;
-        self.tap("cmp", fmt_label(fmt), fmt_label(fmt), None);
-        fmt.decode_to_f64(ops::min(fmt, enc(fmt, a), enc(fmt, b)))
+        self.count_cmp(fmt);
+        Emulated.min(fmt, a, b)
     }
 
     fn max(&self, fmt: FpFormat, a: f64, b: f64) -> f64 {
-        self.lock().counts.cmp_ops += 1;
-        self.tap("cmp", fmt_label(fmt), fmt_label(fmt), None);
-        fmt.decode_to_f64(ops::max(fmt, enc(fmt, a), enc(fmt, b)))
+        self.count_cmp(fmt);
+        Emulated.max(fmt, a, b)
     }
 
     fn lt(&self, fmt: FpFormat, a: f64, b: f64) -> bool {
-        self.lock().counts.cmp_ops += 1;
-        self.tap("cmp", fmt_label(fmt), fmt_label(fmt), None);
-        ops::lt(fmt, enc(fmt, a), enc(fmt, b))
+        self.count_cmp(fmt);
+        Emulated.lt(fmt, a, b)
     }
 
     fn le(&self, fmt: FpFormat, a: f64, b: f64) -> bool {
-        self.lock().counts.cmp_ops += 1;
-        self.tap("cmp", fmt_label(fmt), fmt_label(fmt), None);
-        ops::le(fmt, enc(fmt, a), enc(fmt, b))
+        self.count_cmp(fmt);
+        Emulated.le(fmt, a, b)
     }
 
     fn eq(&self, fmt: FpFormat, a: f64, b: f64) -> bool {
-        self.lock().counts.cmp_ops += 1;
-        self.tap("cmp", fmt_label(fmt), fmt_label(fmt), None);
-        ops::eq(fmt, enc(fmt, a), enc(fmt, b))
-    }
-
-    fn flags(&self) -> FlagSet {
-        FlagSet::NONE // the unit model does not expose fflags (yet)
+        self.count_cmp(fmt);
+        Emulated.eq(fmt, a, b)
     }
 }
 
@@ -417,8 +426,11 @@ impl FpBackend for FpuModel {
 mod tests {
     use super::*;
     use flexfloat::{Engine, Fx};
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex};
     use tp_formats::{BINARY16, BINARY32, BINARY8};
+
+    use crate::op::FpuOp;
+    use crate::unit::{operation_modes, SmallFloatUnit};
 
     #[test]
     fn arithmetic_matches_emulated_path() {
@@ -609,5 +621,119 @@ mod tests {
         let s = fpu.stats();
         assert_eq!(s.off_grid_ops, 1);
         assert_eq!(s.fpu.instructions, 0);
+    }
+
+    /// A fixed mix touching every bucket class: unit arithmetic and
+    /// conversions, div, sqrt, fma, comparisons and an off-grid format.
+    fn op_mix() {
+        let odd = FpFormat::new(6, 5).unwrap();
+        for i in 0..200 {
+            let x = 1.0 + f64::from(i) / 64.0;
+            let (a, b) = (Fx::new(x, BINARY16), Fx::new(0.5, BINARY16));
+            let _ = a + b;
+            let _ = a - b;
+            let _ = a * b;
+            let _ = a / b;
+            let _ = a.sqrt();
+            let h = flexfloat::Binary16::new(x);
+            let _ = h.mul_add(h, h);
+            let _ = a.min(b);
+            let _ = a.lt(b);
+            let c = a.to(BINARY8);
+            let _ = c * c;
+            let _ = c.to(BINARY32) + Fx::new(x, BINARY32);
+            let (d, e) = (Fx::new(x, odd), Fx::new(0.7, odd));
+            let _ = d * e;
+        }
+    }
+
+    #[test]
+    fn shared_model_loses_no_updates_across_threads() {
+        let single = Arc::new(FpuModel::new());
+        Engine::with(single.clone(), op_mix);
+        let one = single.stats();
+        assert!(one.fpu.instructions > 0 && one.emulated_div > 0 && one.emulated_fma > 0);
+        assert!(one.emulated_sqrt > 0 && one.cmp_ops > 0 && one.off_grid_ops > 0);
+
+        let shared = Arc::new(FpuModel::new());
+        // All four start together, so their increments interleave.
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                let fpu = shared.clone();
+                let start = &start;
+                s.spawn(move || {
+                    start.wait();
+                    Engine::with(fpu, op_mix);
+                });
+            }
+        });
+        let four = shared.stats();
+        assert_eq!(
+            four,
+            MeasuredStats {
+                fpu: FpuStats {
+                    instructions: 4 * one.fpu.instructions,
+                    total_latency: 4 * one.fpu.total_latency,
+                    // Exact: grid energies scale and sum without rounding.
+                    total_energy_pj: 4.0 * one.fpu.total_energy_pj,
+                },
+                emulated_div: 4 * one.emulated_div,
+                emulated_sqrt: 4 * one.emulated_sqrt,
+                emulated_fma: 4 * one.emulated_fma,
+                cmp_ops: 4 * one.cmp_ops,
+                off_grid_ops: 4 * one.off_grid_ops,
+            }
+        );
+    }
+
+    #[test]
+    fn per_op_charges_match_the_unit() {
+        let modes = operation_modes(&crate::EnergyTable::paper());
+        let fpu = FpuModel::new();
+        let mut unit = SmallFloatUnit::new();
+        let charged = |issue: &crate::Issue, run: &dyn Fn()| {
+            let before = fpu.stats();
+            run();
+            let delta = fpu.stats().delta_since(&before);
+            assert_eq!(delta.retired_fp_instructions(), 1);
+            assert_eq!(delta.fpu.instructions, 1);
+            assert_eq!(delta.fpu.total_latency, u64::from(issue.latency));
+            assert_eq!(delta.fpu.total_energy_pj, issue.energy_pj);
+        };
+        let mode = |op: FpuOp| {
+            let row = modes.iter().find(|r| r.op == op && !r.vector).unwrap();
+            (row.latency, row.energy_pj)
+        };
+        for kind in ALL_KINDS {
+            let f = kind.format();
+            for (op, bin) in [
+                (ArithOp::Add, BinOp::Add),
+                (ArithOp::Sub, BinOp::Sub),
+                (ArithOp::Mul, BinOp::Mul),
+            ] {
+                let issue = unit.scalar(op, kind, 0, 0);
+                charged(&issue, &|| {
+                    fpu.bin_op(f, bin, 1.5, 0.5);
+                });
+                assert_eq!(
+                    mode(FpuOp::Arith(op, kind)),
+                    (issue.latency, issue.energy_pj)
+                );
+            }
+            // `from == to` included: `cast` can receive it.
+            for to in ALL_KINDS {
+                let issue = unit.convert(kind, to, 0);
+                charged(&issue, &|| {
+                    fpu.cast(f, to.format(), 1.5);
+                });
+                if kind != to {
+                    assert_eq!(
+                        mode(FpuOp::CvtFF { from: kind, to }),
+                        (issue.latency, issue.energy_pj)
+                    );
+                }
+            }
+        }
     }
 }

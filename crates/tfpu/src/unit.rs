@@ -108,8 +108,7 @@ impl SmallFloatUnit {
             ArithOp::Sub => ops::sub(f, a, b, RoundingMode::NearestEven),
             ArithOp::Mul => ops::mul(f, a, b, RoundingMode::NearestEven),
         };
-        let latency = SliceKind::hosting(fmt).arith_latency();
-        let energy = self.energy.scalar_arith(op, fmt);
+        let (latency, energy) = scalar_charge(&self.energy, op, fmt);
         self.account(latency, energy);
         Issue {
             lanes: vec![bits],
@@ -156,8 +155,7 @@ impl SmallFloatUnit {
     /// Issues an FP → FP conversion (one cycle).
     pub fn convert(&mut self, from: FormatKind, to: FormatKind, bits: u64) -> Issue {
         let out = ops::convert(from.format(), to.format(), bits, RoundingMode::NearestEven);
-        let latency = SliceKind::conversion_latency();
-        let energy = self.energy.conversion(from.width_bits(), to.width_bits());
+        let (latency, energy) = convert_charge(&self.energy, from, to);
         self.account(latency, energy);
         // Conversions ride the wider of the two slices.
         let host = if from.width_bits() >= to.width_bits() {
@@ -269,6 +267,26 @@ impl SmallFloatUnit {
     }
 }
 
+/// Latency (cycles) and energy (pJ) of one scalar arithmetic issue: the
+/// charge [`SmallFloatUnit::scalar`], [`operation_modes`] and the
+/// `FpuModel` backend's charge table all read.
+pub(crate) fn scalar_charge(energy: &EnergyTable, op: ArithOp, fmt: FormatKind) -> (u32, f64) {
+    (
+        SliceKind::hosting(fmt).arith_latency(),
+        energy.scalar_arith(op, fmt),
+    )
+}
+
+/// Latency (cycles) and energy (pJ) of one FP → FP conversion issue: the
+/// charge [`SmallFloatUnit::convert`], [`operation_modes`] and the
+/// `FpuModel` backend's charge table all read.
+pub(crate) fn convert_charge(energy: &EnergyTable, from: FormatKind, to: FormatKind) -> (u32, f64) {
+    (
+        SliceKind::conversion_latency(),
+        energy.conversion(from.width_bits(), to.width_bits()),
+    )
+}
+
 /// One row of the modes-of-operation report (experiment E8): latency,
 /// throughput and energy for an operation in a given execution mode.
 #[derive(Debug, Clone)]
@@ -297,8 +315,7 @@ pub fn operation_modes(energy: &EnergyTable) -> Vec<ModeRow> {
     let mut rows = Vec::new();
     for &fmt in &ALL_KINDS {
         for op in [ArithOp::Add, ArithOp::Sub, ArithOp::Mul] {
-            let latency = SliceKind::hosting(fmt).arith_latency();
-            let e = energy.scalar_arith(op, fmt);
+            let (latency, e) = scalar_charge(energy, op, fmt);
             rows.push(ModeRow {
                 op: FpuOp::Arith(op, fmt),
                 vector: false,
@@ -324,13 +341,14 @@ pub fn operation_modes(energy: &EnergyTable) -> Vec<ModeRow> {
     for &from in &ALL_KINDS {
         for &to in &ALL_KINDS {
             if from != to {
+                let (latency, e) = convert_charge(energy, from, to);
                 rows.push(ModeRow {
                     op: FpuOp::CvtFF { from, to },
                     vector: false,
                     lanes: 1,
-                    latency: SliceKind::conversion_latency(),
-                    energy_pj: energy.conversion(from.width_bits(), to.width_bits()),
-                    energy_per_element_pj: energy.conversion(from.width_bits(), to.width_bits()),
+                    latency,
+                    energy_pj: e,
+                    energy_per_element_pj: e,
                 });
             }
         }
