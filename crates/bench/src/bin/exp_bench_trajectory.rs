@@ -1,20 +1,22 @@
 //! Bench-smoke trajectory snapshot: regenerates `BENCH_<pr>.json`.
 //!
-//! Runs the three-way tuning wall-clock matrix (live / sequential replay /
-//! batched replay, see `tp_bench::trajectory`) over the full kernel
-//! registry plus the paper-claims suite evaluation, prints the markdown
-//! table CI appends to the job summary, and writes the JSON snapshot.
+//! Runs the live-vs-replay tuning wall-clock matrix (see
+//! `tp_bench::trajectory`) over the full kernel registry plus the
+//! paper-claims suite evaluation, prints the markdown table CI appends to
+//! the job summary, and writes the JSON snapshot. Under `TP_METRICS=prom`
+//! it ends with a Prometheus metrics snapshot of the whole run
+//! (`tp_bench::maybe_emit_metrics`).
 //!
 //! The decision-identity assertions live *inside* the measurement
-//! (`measure_kernel` panics on any format / evaluation-count / replay-
-//! summary drift between the modes), so a run that completes is itself
-//! the proof that batching changed no decision — CI fails otherwise.
+//! (`measure_kernel` panics on any format or evaluation-count drift
+//! between the modes), so a run that completes is itself the proof that
+//! replay changed no decision — CI fails otherwise.
 //!
 //! Usage: `exp_bench_trajectory [--pr N] [--out PATH]`
 //! (defaults: `--pr 10`, `--out BENCH_<pr>.json` in the current directory).
 
 use tp_bench::trajectory::{
-    markdown_table, measure_suite, paper_claims, straight_line_mean, to_json, BATCHED_TARGET,
+    markdown_table, measure_suite, paper_claims, straight_line_mean, to_json,
 };
 
 /// Parses `--flag value` out of the raw argument list; panics on a flag
@@ -37,7 +39,7 @@ fn main() {
 
     let threshold = 1e-3;
     let claims_threshold = 1e-1;
-    println!("bench trajectory (PR {pr}): live vs replay vs batched tuning wall-clock");
+    println!("bench trajectory (PR {pr}): live vs replay tuning wall-clock");
     println!("config: {}", tp_bench::env::config());
     println!();
 
@@ -46,17 +48,12 @@ fn main() {
     println!();
 
     let mean = straight_line_mean(&rows);
-    println!(
-        "straight-line mean batched/live: {mean:.2}x (target <= {BATCHED_TARGET}x) — {}",
-        if mean <= BATCHED_TARGET {
-            "OK"
-        } else {
-            "WARNING: above target"
-        }
-    );
+    println!("straight-line mean replay/live: {mean:.2}x");
 
     let claims = paper_claims(claims_threshold);
     let json = to_json(pr, threshold, &rows, claims_threshold, &claims);
     std::fs::write(&out, json.as_bytes()).unwrap_or_else(|e| panic!("writing {out}: {e}"));
     println!("wrote {out}");
+
+    tp_bench::maybe_emit_metrics();
 }

@@ -11,7 +11,6 @@
 //! | `TP_BACKEND` | `emulated`, `softfloat` | `emulated` | Process-default execution datapath (resolved in `flexfloat::Engine` at dispatch; validated here too) |
 //! | `TP_WORKERS` | positive integer | `available_parallelism` | Worker threads for the tuning search and suite fan-out (`tp_tuner::resolve_workers`) |
 //! | `TP_TUNER_MODE` | `live`, `replay` | `replay` | Candidate evaluation strategy (`TunerMode::from_env`) |
-//! | `TP_REPLAY_BATCH` | `on`, `off` | `on` | Batched structure-of-arrays replay (`tp_tuner::replay_batch_from_env`); decision-transparent, perf only |
 //! | `TP_STORE_DIR` | directory path | unset (store off) | Persistent tuning-result store root; set it and warm runs skip the search |
 //! | `TP_STORE_CAP` | bytes, with optional `K`/`M`/`G` suffix | `256M` | Store eviction cap (LRU beyond it) |
 //! | `TP_METRICS` | `off`, `on`, `json`, `prom` | `off` | Metrics collection (`tp_obs`); `json`/`prom` also make harness binaries print a snapshot at exit. Observational only — never affects results or `JobKey`s |
@@ -42,8 +41,6 @@ pub struct EnvConfig {
     pub workers: usize,
     /// The effective tuner mode (`TP_TUNER_MODE` / replay).
     pub mode: TunerMode,
-    /// Batched replay on/off (`TP_REPLAY_BATCH` / on).
-    pub replay_batch: bool,
     /// The store root, if the store is enabled (`TP_STORE_DIR`).
     pub store_dir: Option<PathBuf>,
     /// The store eviction cap in bytes (`TP_STORE_CAP`).
@@ -58,11 +55,10 @@ impl std::fmt::Display for EnvConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "backend={} workers={} mode={} batch={} store={} metrics={} tracing={}",
+            "backend={} workers={} mode={} store={} metrics={} tracing={}",
             self.backend,
             self.workers,
             self.mode,
-            if self.replay_batch { "on" } else { "off" },
             match &self.store_dir {
                 Some(dir) => format!("{} (cap {} bytes)", dir.display(), self.store_cap),
                 None => "off".to_owned(),
@@ -85,7 +81,6 @@ pub fn config() -> EnvConfig {
             .map_or_else(|| Engine::active_name().to_owned(), |b| b.name().to_owned()),
         workers: workers(),
         mode: tuner_mode(),
-        replay_batch: replay_batch(),
         store_dir: store_dir(),
         store_cap: store_cap(),
         metrics: metrics_mode(),
@@ -143,15 +138,6 @@ pub fn workers() -> usize {
 #[must_use]
 pub fn tuner_mode() -> TunerMode {
     TunerMode::from_env()
-}
-
-/// Batched replay on/off: `TP_REPLAY_BATCH` (`on`/`off`, unknown values
-/// panic — resolved in `tp_tuner::replay_batch_from_env`), default on.
-/// Decision-transparent either way; the knob exists for perf comparison
-/// (`exp_replay_speedup` batched column) and bisection.
-#[must_use]
-pub fn replay_batch() -> bool {
-    tp_tuner::replay_batch_from_env()
 }
 
 /// The tuning-result store root: `TP_STORE_DIR`, or `None` (store

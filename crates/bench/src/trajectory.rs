@@ -1,19 +1,16 @@
-//! The tracked perf trajectory: live vs replay vs batched-replay tuning
-//! wall-clock, snapshotted per PR as `BENCH_<pr>.json`.
+//! The tracked perf trajectory: live vs replay tuning wall-clock,
+//! snapshotted per PR as `BENCH_<pr>.json`.
 //!
-//! Three measurements per kernel, all of which must choose **bit-identical
+//! Two measurements per kernel, which must choose **bit-identical
 //! formats** (and spend the same number of evaluations — a non-divergent
 //! replay serves the very verdict the live run would have):
 //!
 //! * **live** — [`TunerMode::Live`], every candidate re-runs the kernel;
-//! * **replay** — [`TunerMode::Replay`] with batching off, every candidate
-//!   is a sequential tape pass;
-//! * **batched** — [`TunerMode::Replay`] with the structure-of-arrays
-//!   batch interpreter on (`Trace::replay_batch` across same-shape input
-//!   sets, `Trace::replay_candidates` for the speculative probe pairs).
+//! * **replay** — [`TunerMode::Replay`], every candidate is a tape replay
+//!   (or a verdict memo hit), with live fallback on divergence.
 //!
 //! [`measure_kernel`] *asserts* the identity rather than reporting it, so
-//! the bench-smoke CI step fails hard if batching ever drifts a decision.
+//! the bench-smoke CI step fails hard if replay ever drifts a decision.
 //! The numbers land in a JSON snapshot ([`to_json`]) committed to the repo
 //! root per PR, making the speed trajectory diffable across the PR stack.
 
@@ -29,23 +26,16 @@ use tp_tuner::{distributed_search, SearchParams, Tunable, TunerMode, TuningOutco
 /// kernels the replay acceptance gates bind on.
 pub const STRAIGHT_LINE: [&str; 6] = ["CONV", "DWT", "JACOBI", "GEMM", "FFT", "MLP"];
 
-/// Acceptance target: batched whole-tuning wall-clock relative to live on
-/// the straight-line kernels (mean). The stretch goal is 0.4×.
-pub const BATCHED_TARGET: f64 = 0.55;
-
-/// One kernel's three-way wall-clock row.
+/// One kernel's live/replay wall-clock row.
 #[derive(Debug, Clone)]
 pub struct KernelTrajectory {
     /// Kernel name.
     pub app: String,
     /// Best-of-two live tuning wall-clock, milliseconds.
     pub live_ms: f64,
-    /// Best-of-two sequential-replay tuning wall-clock, milliseconds.
+    /// Best-of-two replay-mode tuning wall-clock, milliseconds.
     pub replay_ms: f64,
-    /// Best-of-two batched-replay tuning wall-clock, milliseconds.
-    pub batched_ms: f64,
-    /// Candidate evaluations served from a tape (batched run's summary;
-    /// asserted equal to the sequential run's).
+    /// Candidate evaluations served from a tape.
     pub replayed: u64,
     /// Candidate evaluations that hit the divergence guard.
     pub diverged: u64,
@@ -54,16 +44,10 @@ pub struct KernelTrajectory {
 }
 
 impl KernelTrajectory {
-    /// Sequential replay wall-clock relative to live.
+    /// Replay wall-clock relative to live.
     #[must_use]
     pub fn replay_ratio(&self) -> f64 {
         self.replay_ms / self.live_ms
-    }
-
-    /// Batched replay wall-clock relative to live.
-    #[must_use]
-    pub fn batched_ratio(&self) -> f64 {
-        self.batched_ms / self.live_ms
     }
 
     /// `true` when this kernel is in the [`STRAIGHT_LINE`] gate set.
@@ -87,43 +71,32 @@ fn tune(app: &dyn Tunable, params: SearchParams) -> (TuningOutcome, f64) {
     (outcome.expect("ran at least once"), best)
 }
 
-/// Measures one kernel's live / replay / batched trajectory at
-/// `threshold`.
+/// Measures one kernel's live / replay trajectory at `threshold`.
 ///
 /// # Panics
 ///
-/// If the three modes disagree on any chosen format, on the evaluation
-/// count, or (replay vs batched) on the replay summary — decision drift
-/// in the batch interpreter is a correctness bug, not a data point, so
-/// the bench-smoke CI step fails instead of publishing the number.
+/// If the two modes disagree on any chosen format or on the evaluation
+/// count — decision drift in replay is a correctness bug, not a data
+/// point, so the bench-smoke CI step fails instead of publishing the
+/// number.
 #[must_use]
 pub fn measure_kernel(app: &dyn Tunable, threshold: f64) -> KernelTrajectory {
     let paper = || SearchParams::paper(threshold);
     let (live, live_ms) = tune(app, paper().with_mode(TunerMode::Live));
-    let (replay, replay_ms) = tune(app, paper().with_mode(TunerMode::Replay).with_batch(false));
-    let (batched, batched_ms) = tune(app, paper().with_mode(TunerMode::Replay).with_batch(true));
+    let (replay, replay_ms) = tune(app, paper().with_mode(TunerMode::Replay));
 
-    for (mode, outcome) in [("replay", &replay), ("batched", &batched)] {
-        for (a, b) in live.vars.iter().zip(&outcome.vars) {
-            assert_eq!(
-                (a.precision_bits, a.needs_wide_range),
-                (b.precision_bits, b.needs_wide_range),
-                "{}/{}: {mode} changed a chosen format",
-                live.app,
-                a.spec.name
-            );
-        }
+    for (a, b) in live.vars.iter().zip(&replay.vars) {
         assert_eq!(
-            live.evaluations, outcome.evaluations,
-            "{}: {mode} changed the evaluation count",
-            live.app
+            (a.precision_bits, a.needs_wide_range),
+            (b.precision_bits, b.needs_wide_range),
+            "{}/{}: replay changed a chosen format",
+            live.app,
+            a.spec.name
         );
     }
-    // Batching must not even shift which evaluations were served from the
-    // tape — the verdict-cache tally discipline makes the summaries equal.
     assert_eq!(
-        replay.replay, batched.replay,
-        "{}: batching changed the replay summary",
+        live.evaluations, replay.evaluations,
+        "{}: replay changed the evaluation count",
         live.app
     );
 
@@ -131,10 +104,9 @@ pub fn measure_kernel(app: &dyn Tunable, threshold: f64) -> KernelTrajectory {
         app: live.app,
         live_ms,
         replay_ms,
-        batched_ms,
-        replayed: batched.replay.replayed,
-        diverged: batched.replay.diverged,
-        fallback_rate: batched.replay.fallback_rate(),
+        replayed: replay.replay.replayed,
+        diverged: replay.replay.diverged,
+        fallback_rate: replay.replay.fallback_rate(),
     }
 }
 
@@ -147,13 +119,13 @@ pub fn measure_suite(threshold: f64) -> Vec<KernelTrajectory> {
         .collect()
 }
 
-/// Mean batched/live ratio over the straight-line rows (`0.0` if none).
+/// Mean replay/live ratio over the straight-line rows (`0.0` if none).
 #[must_use]
 pub fn straight_line_mean(rows: &[KernelTrajectory]) -> f64 {
     let ratios: Vec<f64> = rows
         .iter()
         .filter(|r| r.is_straight_line())
-        .map(KernelTrajectory::batched_ratio)
+        .map(KernelTrajectory::replay_ratio)
         .collect();
     crate::mean(&ratios)
 }
@@ -165,19 +137,17 @@ pub fn markdown_table(rows: &[KernelTrajectory]) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     out.push_str(
-        "| kernel | live ms | replay ms | batched ms | replay/live | batched/live | replayed | diverged | fallback |\n",
+        "| kernel | live ms | replay ms | replay/live | replayed | diverged | fallback |\n",
     );
-    out.push_str("|---|---|---|---|---|---|---|---|---|\n");
+    out.push_str("|---|---|---|---|---|---|---|\n");
     for r in rows {
         let _ = writeln!(
             out,
-            "| {} | {:.1} | {:.1} | {:.1} | {:.2}x | {:.2}x | {} | {} | {:.1}% |",
+            "| {} | {:.1} | {:.1} | {:.2}x | {} | {} | {:.1}% |",
             r.app,
             r.live_ms,
             r.replay_ms,
-            r.batched_ms,
             r.replay_ratio(),
-            r.batched_ratio(),
             r.replayed,
             r.diverged,
             r.fallback_rate * 100.0
@@ -222,10 +192,9 @@ pub fn paper_claims(threshold: f64) -> Vec<ClaimRow> {
 /// Renders the whole snapshot as the `BENCH_<pr>.json` document.
 ///
 /// Schema (all `f64`s in the store's exact string rendering):
-/// `{ pr, threshold, workers, backend, batch_env, kernels: [ { app,
-/// live_ms, replay_ms, batched_ms, replay_ratio, batched_ratio, replayed,
-/// diverged, fallback_rate } ], straight_line: { kernels, mean_batched_ratio,
-/// target, met }, paper_claims: { threshold, kernels: [ { app,
+/// `{ pr, threshold, workers, backend, kernels: [ { app, live_ms,
+/// replay_ms, replay_ratio, replayed, diverged, fallback_rate } ],
+/// straight_line: { kernels, mean_replay_ratio }, paper_claims: { threshold, kernels: [ { app,
 /// small_format_op_share, memory_ratio, cycle_ratio, energy_ratio } ],
 /// best_small_format_op_share } }`.
 #[must_use]
@@ -249,7 +218,6 @@ pub fn to_json(
             "backend",
             Value::Str(flexfloat::Engine::active_name().to_owned()),
         )
-        .field("batch_env", Value::Bool(tp_tuner::replay_batch_from_env()))
         .field(
             "kernels",
             Value::Arr(
@@ -259,9 +227,7 @@ pub fn to_json(
                             .field("app", Value::Str(r.app.clone()))
                             .field("live_ms", Value::f64(r.live_ms))
                             .field("replay_ms", Value::f64(r.replay_ms))
-                            .field("batched_ms", Value::f64(r.batched_ms))
                             .field("replay_ratio", Value::f64(r.replay_ratio()))
-                            .field("batched_ratio", Value::f64(r.batched_ratio()))
                             .field("replayed", Value::Num(r.replayed))
                             .field("diverged", Value::Num(r.diverged))
                             .field("fallback_rate", Value::f64(r.fallback_rate))
@@ -281,9 +247,7 @@ pub fn to_json(
                             .collect(),
                     ),
                 )
-                .field("mean_batched_ratio", Value::f64(mean_ratio))
-                .field("target", Value::f64(BATCHED_TARGET))
-                .field("met", Value::Bool(mean_ratio <= BATCHED_TARGET)),
+                .field("mean_replay_ratio", Value::f64(mean_ratio)),
         )
         .field(
             "paper_claims",
@@ -319,14 +283,14 @@ mod tests {
     use tp_kernels::Conv;
 
     /// The snapshot machinery end-to-end on one small kernel: the
-    /// three-way identity assertions inside [`measure_kernel`] hold, the
+    /// live/replay identity assertions inside [`measure_kernel`] hold, the
     /// JSON parses, and the gate fields are present.
     #[test]
     fn snapshot_round_trips_on_a_small_kernel() {
         let app = Conv::small();
         let row = measure_kernel(&app, 1e-1);
         assert_eq!(row.app, "CONV");
-        assert!(row.live_ms > 0.0 && row.replay_ms > 0.0 && row.batched_ms > 0.0);
+        assert!(row.live_ms > 0.0 && row.replay_ms > 0.0);
         assert_eq!(row.diverged, 0, "CONV is straight-line");
         assert!(row.is_straight_line());
 
@@ -342,9 +306,9 @@ mod tests {
         assert_eq!(doc.get("pr").unwrap().as_num(), Some(7));
         let kernels = doc.get("kernels").unwrap().as_arr().unwrap();
         assert_eq!(kernels[0].get("app").unwrap().as_str(), Some("CONV"));
-        assert!(kernels[0].get("batched_ratio").unwrap().as_f64().is_some());
+        assert!(kernels[0].get("replay_ratio").unwrap().as_f64().is_some());
         let sl = doc.get("straight_line").unwrap();
-        assert_eq!(sl.get("target").unwrap().as_f64(), Some(BATCHED_TARGET));
+        assert!(sl.get("mean_replay_ratio").unwrap().as_f64().is_some());
         let claims = doc.get("paper_claims").unwrap();
         assert_eq!(
             claims.get("best_small_format_op_share").unwrap().as_f64(),

@@ -5,9 +5,11 @@
 //! it cannot say which kernel, which phase (baseline vs tuned), which
 //! op class or which format pair the joules went to. This module is the
 //! receiving end of the `AttributionSink` tap on `tp_fpu::FpuModel`:
-//! the backend reports every accounted op here, the table shards
-//! per-thread exactly like the metric shards in the crate root, and
-//! shards merge into one global table at the same absorb points.
+//! the backend reports every accounted op here into a per-thread shard,
+//! and shards merge into one global table when their labels change, at
+//! [`absorb`](crate::absorb) and at thread exit. (Unlike the metric
+//! shards, these are flushed rather than read in place: a shard picks
+//! up its ambient labels when it flushes.)
 //!
 //! # Keys and labels
 //!
@@ -200,16 +202,14 @@ pub fn record(
 }
 
 /// Flushes the calling thread's attribution shard into the global
-/// table. Called from [`absorb`](crate::absorb) so the existing
-/// request/job absorb points cover attribution too.
+/// table. Called from [`absorb`](crate::absorb).
 pub fn absorb_attr() {
     flush_local();
 }
 
 /// The global attribution table, key-ordered (deterministic). Absorbs
 /// the calling thread's shard first; rows recorded by *other* live
-/// threads appear once those threads absorb or exit, same as metric
-/// shards.
+/// threads appear once those threads absorb, change labels or exit.
 #[must_use]
 pub fn snapshot_attr() -> Vec<(AttrKey, AttrCell)> {
     flush_local();
@@ -235,13 +235,11 @@ pub fn reset_attr() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::MODE_LOCK;
     use crate::MetricsMode;
-    use std::sync::Mutex as TestMutex;
-
-    static TEST_LOCK: TestMutex<()> = TestMutex::new(());
 
     fn with_attr_on(f: impl FnOnce()) {
-        let _guard = TEST_LOCK.lock().expect("attr test lock poisoned");
+        let _guard = crate::lock(&MODE_LOCK);
         crate::force_mode(MetricsMode::On);
         reset_attr();
         f();
@@ -312,7 +310,7 @@ mod tests {
 
     #[test]
     fn metrics_off_records_nothing() {
-        let _guard = TEST_LOCK.lock().expect("attr test lock poisoned");
+        let _guard = crate::lock(&MODE_LOCK);
         crate::force_mode(MetricsMode::Off);
         reset_attr();
         record("add", "binary32", "binary32", 2, 1.0);

@@ -1,6 +1,6 @@
 //! `tp-obs`: workspace-wide observability — counters, gauges,
 //! log2-bucketed latency histograms and span timers, recorded
-//! thread-locally and absorbed into one global registry.
+//! in per-thread shards that one global registry reads in place.
 //!
 //! # Why this crate exists (and why it has no dependencies)
 //!
@@ -24,13 +24,16 @@
 //!   check** ([`enabled`]) and returns immediately when metrics are off
 //!   (`TP_METRICS` unset or `off`) — the off path allocates nothing,
 //!   takes no lock, and reads no clock;
-//! * when enabled, events land in a **thread-local shard** (no
-//!   synchronization on the record path);
-//! * shards reach the global [`snapshot`] through an explicit
-//!   [`absorb`] — and automatically when a thread exits, so short-lived
-//!   pool workers never lose data. Merging is commutative and
-//!   associative ([`Hist::merge`]), so absorb order cannot change a
-//!   snapshot's tallies.
+//! * when enabled, events land in the calling **thread's own shard**,
+//!   behind a lock no other thread takes on its record path;
+//! * each shard is registered once, on the thread's first record, in a
+//!   global list that [`snapshot`] reads directly — so a snapshot sees
+//!   every thread's data without any flush. When a thread exits, its
+//!   shard is folded into one *retired* shard under the same lock that
+//!   takes it off the list, so its data is never invisible, not even
+//!   while the thread's destructors run after `thread::scope` has
+//!   returned. Merging is commutative and associative ([`Hist::merge`]),
+//!   so thread count and exit order cannot change a snapshot's tallies.
 //!
 //! [`Span::enter`] timers record their histogram sample on drop,
 //! including during unwinding — panic-safe the same way
@@ -41,8 +44,8 @@
 //! Nothing in this crate feeds back into a decision: chosen formats,
 //! `TraceCounts`, store contents and `JobKey`s are bit-identical with
 //! metrics on or off (pinned by `tests/determinism.rs`). That is why
-//! `TP_METRICS` — like `TP_WORKERS` and `TP_REPLAY_BATCH` — is excluded
-//! from the store's `JobKey`.
+//! `TP_METRICS` — like `TP_WORKERS` — is excluded from the store's
+//! `JobKey`.
 //!
 //! # The knob
 //!
@@ -62,11 +65,11 @@ pub mod trace;
 pub use hist::{bucket_upper_bound, Hist, HistSnapshot, BUCKET_COUNT};
 pub use trace::{force_tracing, tracing_enabled, SpanContext, SpanRecord};
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::str::FromStr;
-use std::sync::atomic::{AtomicU32, AtomicU8, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// What `TP_METRICS` selects. `Off` disables collection entirely; the
@@ -205,7 +208,7 @@ thread_local! {
     // (generation, enabled): one Cell read on the hot path, revalidated
     // against GENERATION only when `force_mode` has been called since.
     static ENABLED: Cell<(u32, bool)> = const { Cell::new((0, false)) };
-    static SHARD: LocalShard = const { LocalShard(RefCell::new(Shard::new())) };
+    static SHARD: LocalShard = LocalShard::register();
 }
 
 /// The single check every record call starts with: is collection on?
@@ -225,16 +228,22 @@ pub fn enabled() -> bool {
     })
 }
 
-/// A gauge cell: the most recent value and the high-water mark.
+/// Process-wide order of gauge writes, so merging shards can tell which
+/// thread set a gauge last.
+static GAUGE_SEQ: AtomicU64 = AtomicU64::new(1);
+
+/// A gauge cell: the most recent value, the high-water mark, and the
+/// [`GAUGE_SEQ`] stamp of the write that set `last`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct GaugeCell {
     last: u64,
     max: u64,
+    seq: u64,
 }
 
-/// One shard of metrics state — the thread-local recording target, and
-/// (same shape) the global absorb target. `BTreeMap` keeps iteration,
-/// and therefore every snapshot, deterministically ordered.
+/// One shard of metrics state — a thread's recording target, and (same
+/// shape) the retired shard of exited threads. `BTreeMap` keeps
+/// iteration, and therefore every snapshot, deterministically ordered.
 #[derive(Debug)]
 struct Shard {
     counters: BTreeMap<String, u64>,
@@ -251,48 +260,67 @@ impl Shard {
         }
     }
 
-    fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.hists.is_empty()
-    }
-
     /// Folds `other` into `self`. Counter and histogram merging is
-    /// commutative and associative; a gauge's `last` is last-absorber-
-    /// wins (cross-thread "current value" has no better definition) and
-    /// its high-water mark is an exact max.
-    fn merge(&mut self, other: Shard) {
-        for (name, n) in other.counters {
-            let slot = self.counters.entry(name).or_insert(0);
-            *slot = slot.saturating_add(n);
+    /// commutative and associative; a gauge's `last` is the most recent
+    /// write across both (by [`GAUGE_SEQ`] stamp) and its high-water mark
+    /// is an exact max.
+    fn merge(&mut self, other: &Shard) {
+        for (name, n) in &other.counters {
+            let slot = self.counters.entry(name.clone()).or_insert(0);
+            *slot = slot.saturating_add(*n);
         }
-        for (name, g) in other.gauges {
-            let slot = self.gauges.entry(name).or_default();
-            slot.last = g.last;
+        for (name, g) in &other.gauges {
+            let slot = self.gauges.entry(name.clone()).or_default();
+            if g.seq >= slot.seq {
+                slot.last = g.last;
+                slot.seq = g.seq;
+            }
             slot.max = slot.max.max(g.max);
         }
-        for (name, h) in other.hists {
-            self.hists.entry(name).or_default().merge(&h);
+        for (name, h) in &other.hists {
+            self.hists.entry(name.clone()).or_default().merge(h);
         }
     }
 }
 
-/// Thread-local wrapper whose `Drop` flushes the shard into the global
-/// registry — the backstop that keeps short-lived pool workers' data
-/// from evaporating when they exit without an explicit [`absorb`].
-struct LocalShard(RefCell<Shard>);
+/// Every live thread's shard, plus the merged shards of exited threads.
+struct Registry {
+    live: Vec<Arc<Mutex<Shard>>>,
+    retired: Shard,
+}
+
+static REGISTRY: Mutex<Registry> = Mutex::new(Registry {
+    live: Vec::new(),
+    retired: Shard::new(),
+});
+
+/// Locks `m`, ignoring poison: a shard holds plain tallies, and a panic
+/// elsewhere must not take the metrics plane down with it.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// A thread's handle on its registered shard. Dropping it (at thread
+/// exit) moves the shard's data into the retired shard and takes it off
+/// the live list, both under the registry lock.
+struct LocalShard(Arc<Mutex<Shard>>);
+
+impl LocalShard {
+    fn register() -> LocalShard {
+        let shard = Arc::new(Mutex::new(Shard::new()));
+        lock(&REGISTRY).live.push(Arc::clone(&shard));
+        LocalShard(shard)
+    }
+}
 
 impl Drop for LocalShard {
     fn drop(&mut self) {
-        let shard = std::mem::replace(&mut *self.0.borrow_mut(), Shard::new());
-        if !shard.is_empty() {
-            GLOBAL
-                .lock()
-                .expect("metrics registry poisoned")
-                .merge(shard);
-        }
+        let mut registry = lock(&REGISTRY);
+        registry.live.retain(|s| !Arc::ptr_eq(s, &self.0));
+        let shard = std::mem::replace(&mut *lock(&self.0), Shard::new());
+        registry.retired.merge(&shard);
     }
 }
-
-static GLOBAL: Mutex<Shard> = Mutex::new(Shard::new());
 
 /// Adds `delta` to the counter `name`. No-op when metrics are off.
 pub fn counter_add(name: &str, delta: u64) {
@@ -300,7 +328,7 @@ pub fn counter_add(name: &str, delta: u64) {
         return;
     }
     SHARD.with(|shard| {
-        let mut shard = shard.0.borrow_mut();
+        let mut shard = lock(&shard.0);
         match shard.counters.get_mut(name) {
             Some(slot) => *slot = slot.saturating_add(delta),
             None => {
@@ -321,12 +349,14 @@ pub fn gauge_set(name: &str, value: u64) {
     if !enabled() {
         return;
     }
+    let seq = GAUGE_SEQ.fetch_add(1, Ordering::Relaxed);
     SHARD.with(|shard| {
-        let mut shard = shard.0.borrow_mut();
+        let mut shard = lock(&shard.0);
         match shard.gauges.get_mut(name) {
             Some(slot) => {
                 slot.last = value;
                 slot.max = slot.max.max(value);
+                slot.seq = seq;
             }
             None => {
                 shard.gauges.insert(
@@ -334,6 +364,7 @@ pub fn gauge_set(name: &str, value: u64) {
                     GaugeCell {
                         last: value,
                         max: value,
+                        seq,
                     },
                 );
             }
@@ -348,7 +379,7 @@ pub fn observe_ns(name: &str, ns: u64) {
         return;
     }
     SHARD.with(|shard| {
-        let mut shard = shard.0.borrow_mut();
+        let mut shard = lock(&shard.0);
         match shard.hists.get_mut(name) {
             Some(h) => h.record(ns),
             None => {
@@ -431,25 +462,14 @@ impl Drop for Span {
     }
 }
 
-/// Flushes the calling thread's shard into the global registry. Cheap
-/// when there is nothing to flush. Long-lived threads (server handlers,
-/// workers) call this at natural boundaries — request served, job
-/// settled — so a [`snapshot`] taken from another thread is current;
-/// exiting threads flush automatically.
+/// Flushes the calling thread's attribution shard into the global
+/// attribution table ([`attr::absorb_attr`]). Metric shards need no
+/// flush: [`snapshot`] reads every thread's shard directly.
 pub fn absorb() {
     if !enabled() {
         return;
     }
     attr::absorb_attr();
-    let _ = SHARD.try_with(|shard| {
-        let taken = std::mem::replace(&mut *shard.0.borrow_mut(), Shard::new());
-        if !taken.is_empty() {
-            GLOBAL
-                .lock()
-                .expect("metrics registry poisoned")
-                .merge(taken);
-        }
-    });
 }
 
 /// A deterministic export of the global registry: every metric in
@@ -487,20 +507,24 @@ impl MetricsSnapshot {
 pub struct GaugeSnapshot {
     /// The gauge name.
     pub name: String,
-    /// Most recently set value (last absorber wins across threads).
+    /// Most recently set value, across all threads.
     pub last: u64,
-    /// High-water mark across all absorbed shards.
+    /// High-water mark across all threads.
     pub max: u64,
 }
 
-/// Absorbs the calling thread's shard, then snapshots the global
-/// registry. Data still sitting in *other* live threads' shards is not
-/// included until those threads absorb or exit — which is why the
-/// instrumented layers absorb at request/job boundaries.
+/// Snapshots every metric recorded so far: the shards of all live
+/// threads plus the retired shard of exited ones.
 #[must_use]
 pub fn snapshot() -> MetricsSnapshot {
-    absorb();
-    let global = GLOBAL.lock().expect("metrics registry poisoned");
+    let mut global = Shard::new();
+    {
+        let registry = lock(&REGISTRY);
+        global.merge(&registry.retired);
+        for shard in &registry.live {
+            global.merge(&lock(shard));
+        }
+    }
     MetricsSnapshot {
         counters: global
             .counters
@@ -524,14 +548,14 @@ pub fn snapshot() -> MetricsSnapshot {
     }
 }
 
-/// Clears the calling thread's shard and the global registry. For tests
-/// and A/B harnesses that need isolated tallies; live services never
-/// call this.
+/// Clears every thread's shard and the retired shard. For tests and A/B
+/// harnesses that need isolated tallies; live services never call this.
 pub fn reset() {
-    let _ = SHARD.try_with(|shard| {
-        *shard.0.borrow_mut() = Shard::new();
-    });
-    *GLOBAL.lock().expect("metrics registry poisoned") = Shard::new();
+    let mut registry = lock(&REGISTRY);
+    registry.retired = Shard::new();
+    for shard in &registry.live {
+        *lock(shard) = Shard::new();
+    }
 }
 
 /// A metric name in Prometheus spelling: `tp_` prefix, every character
@@ -590,10 +614,16 @@ pub fn render_prometheus(snapshot: &MetricsSnapshot) -> String {
 mod tests {
     use super::*;
 
+    /// Serializes the tests (here and in `attr`) that switch the
+    /// process-wide metrics mode or reset the registry, so one test's
+    /// switch or reset cannot land in the middle of another's recording.
+    pub(crate) static MODE_LOCK: Mutex<()> = Mutex::new(());
+
     /// The whole suite shares one process; force metrics on and reset
     /// around each test body. Tests that need the off path force it
     /// explicitly and restore.
     fn with_metrics_on(f: impl FnOnce()) {
+        let _guard = lock(&MODE_LOCK);
         force_mode(MetricsMode::On);
         reset();
         f();
@@ -620,6 +650,7 @@ mod tests {
 
     #[test]
     fn off_mode_records_nothing() {
+        let _guard = lock(&MODE_LOCK);
         force_mode(MetricsMode::Off);
         reset();
         counter_inc("test.off.counter");

@@ -199,9 +199,6 @@ impl SubmitRequest {
             passes: self.passes,
             workers,
             mode: self.mode,
-            // Batching is outcome-invariant (like `workers`), so it is the
-            // server process's choice, never wire-controlled.
-            batch: tp_tuner::replay_batch_from_env(),
         }
     }
 }

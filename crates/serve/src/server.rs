@@ -424,10 +424,6 @@ impl Core {
                     job.settle(JobState::Failed(reason));
                 }
             }
-            // Flush this worker's shard (job span, completion counters,
-            // and everything the search recorded on this thread) so a
-            // concurrent STATS sees settled jobs, not just exited threads.
-            tp_obs::absorb();
             // Decrement-and-notify under the queue mutex (the condvar's
             // predicate lock): a bare-atomic decrement could land between
             // drain()'s predicate check and its wait(), and the notify
@@ -592,9 +588,6 @@ fn handle_connection(core: &Core, stream: TcpStream) {
         if let Some(started) = started {
             let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
             tp_obs::observe_ns(&format!("serve.request_ns.{verb}"), ns);
-            // Handlers are long-lived (one per connection): flush per
-            // request so a STATS on another connection sees this one.
-            tp_obs::absorb();
         }
         let is_bye = response.starts_with("BYE");
         let written = write_frame(&mut writer, &response);

@@ -27,11 +27,6 @@
 //! that an 8-worker server and a 1-worker laptop hit the same entries.
 //! (The `evaluations` counter inside a stored outcome consequently
 //! reflects the worker count of whoever computed it first.)
-//! `SearchParams::batch` is excluded for the same reason: batched replay
-//! is decision-transparent — formats, evaluation counts *and* the replay
-//! summary are bit-identical on or off (`DESIGN.md §10`,
-//! `tests/replay_equivalence.rs`) — so a batching server and a
-//! `TP_REPLAY_BATCH=off` client must share entries.
 //!
 //! [`SearchParams::input_sets`]: tp_tuner::SearchParams::input_sets
 //! [`ReplaySummary`]: tp_tuner::ReplaySummary

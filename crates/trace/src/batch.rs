@@ -1,65 +1,32 @@
-//! Batched structure-of-arrays replay.
+//! Multi-trace and multi-candidate replay entry points.
 //!
-//! The raw interpreter in [`crate::replay`] pays the tape walk — decode,
-//! dispatch, table reads — once per (input set × candidate). This module
-//! amortizes it two ways:
-//!
-//! * [`Trace::replay_batch`]: all input sets of a kernel in **one pass**
-//!   over a shared decoded tape. Traces of the same kernel on different
-//!   inputs are structurally identical (same ops, slots, names — only
-//!   pool payloads and recorded branch outcomes differ; checked in O(1)
-//!   via [`Trace::same_shape`]), so the per-op decode/dispatch/table cost
-//!   is paid once and the arithmetic becomes column-wise loops over
-//!   `vals[id * lanes + lane]`. Divergence is **per lane**: a set whose
-//!   recorded comparison flips drops out of the batch (its result is
-//!   [`Replayed::Divergent`]); the remaining lanes keep going, and the
-//!   pass ends early when no lane is alive.
+//! * [`Trace::replay_batch`]: every input set's tape under one
+//!   configuration — plain per-trace [`Trace::replay`], kept as a
+//!   convenience for callers that hold a group of tapes.
 //! * [`Trace::replay_candidates`]: several candidate configurations in
 //!   one call. The format-slot tables are resolved up front and diffed;
 //!   every tape entry before the first reference to a *differing* slot
 //!   computes bit-identically under every candidate (all slots it can
 //!   touch resolve equally, so every promotion/cast table cell it
-//!   consults is equal), so that prefix runs once and its value columns
-//!   are shared; per-candidate execution forks at the first difference.
+//!   consults is equal), so that prefix runs once on the raw interpreter
+//!   ([`Trace::run_raw`]) and its state is forked per candidate at the
+//!   first difference.
 //!
-//! Both entries fall back to per-trace [`Trace::replay`] whenever the
-//! thread is observed (a recorder or installed backend must see every
-//! event in recorded order) or shapes don't match — callers never need
-//! to pre-check.
+//! Both fall back to per-trace [`Trace::replay`] whenever the thread is
+//! observed (a recorder or installed backend must see every event in
+//! recorded order) — callers never need to pre-check.
 
-use flexfloat::backend::Emulated;
-use flexfloat::{BinOp, Engine, FpBackend, Recorder, TypeConfig};
+use flexfloat::{Engine, Recorder, TypeConfig};
 
-use crate::replay::{promoted, take_buf, with_scratch, Replayed, Scratch, Tables};
-use crate::tape::{OutputPlan, Packed, Tag, Trace};
+use crate::replay::{Regs, Replayed, Spare, Tables};
+use crate::tape::{Tag, Trace};
 
 impl Trace {
-    /// Replays every trace in `traces` under `config` in one pass over the
-    /// shared decoded tape, returning one [`Replayed`] per trace, in
-    /// order. Each result is bit-identical to `traces[i].replay(config)` —
-    /// including the divergence site when a lane's recorded comparison
-    /// flips. Traces must be recordings of the same kernel over different
-    /// input sets to batch; anything else (and any observed thread)
-    /// transparently falls back to sequential replay.
+    /// Replays every trace in `traces` under `config`, returning one
+    /// [`Replayed`] per trace, in order — exactly `traces[i].replay(config)`.
     #[must_use]
     pub fn replay_batch(traces: &[&Trace], config: &TypeConfig) -> Vec<Replayed> {
-        // One span per batched group: coarse enough to stay within the
-        // trace buffer, fine enough that "replay" shows up as a phase's
-        // children in the span tree.
-        let _span = tp_obs::Span::enter("trace.replay_batch_ns");
-        tp_obs::counter_inc("trace.replay_batch_calls");
-        let [leader, rest @ ..] = traces else {
-            return Vec::new();
-        };
-        let observed = Recorder::is_enabled() || Engine::is_active();
-        if rest.is_empty() || observed || !rest.iter().all(|t| leader.same_shape(t)) {
-            return traces.iter().map(|t| t.replay(config)).collect();
-        }
-        with_scratch(|scratch| {
-            let result = batch_raw(traces, config, scratch);
-            scratch.retire_arrays();
-            result
-        })
+        traces.iter().map(|t| t.replay(config)).collect()
     }
 
     /// Replays `self` under every configuration in `configs` in one call,
@@ -118,8 +85,11 @@ impl Trace {
             })
             .unwrap_or(self.raw_ops.len());
 
-        let mut shared = CandState::new(self);
-        if let Some(at) = run_range(self, &tables[0], &mut shared, 0, prefix_end) {
+        // Forked states own their buffers, so nothing is recycled here.
+        let mut spare = Spare::default();
+        let mut shared = Regs::default();
+        shared.reset(self, &mut spare);
+        if let Some(at) = self.run_raw(&tables[0], &mut shared, &mut spare, 0, prefix_end) {
             // The prefix consults only equal table cells, so a prefix
             // divergence is every candidate's divergence.
             return vec![Replayed::Divergent { at }; configs.len()];
@@ -134,449 +104,14 @@ impl Trace {
                 } else {
                     shared.clone()
                 };
-                match run_range(self, &tables[k], &mut st, prefix_end, self.raw_ops.len()) {
+                let end = self.raw_ops.len();
+                match self.run_raw(&tables[k], &mut st, &mut spare, prefix_end, end) {
                     Some(at) => Replayed::Divergent { at },
-                    None => Replayed::Output(match self.plan {
-                        OutputPlan::FromExtracts => st.out,
-                        OutputPlan::Verbatim => self.outputs.clone(),
-                    }),
+                    None => Replayed::Output(self.take_output(&mut st)),
                 }
             })
             .collect()
     }
-}
-
-/// The per-candidate interpreter state of [`Trace::replay_candidates`]:
-/// cloned at the fork point, so it owns plain buffers rather than
-/// borrowing the recycled scratch.
-#[derive(Clone, Default)]
-struct CandState {
-    vals: Vec<f64>,
-    vslot: Vec<u16>,
-    arrays: Vec<(u16, Vec<f64>)>,
-    out: Vec<f64>,
-    cmp_seq: usize,
-}
-
-impl CandState {
-    fn new(trace: &Trace) -> Self {
-        let mut st = CandState::default();
-        st.vals.reserve(trace.n_values as usize + 1);
-        st.vslot.reserve(trace.n_values as usize + 1);
-        st.vals.push(0.0);
-        st.vslot.push(0);
-        st.arrays.push((0, Vec::new()));
-        st.out.reserve(trace.outputs.len());
-        st
-    }
-}
-
-/// Runs raw entries `[start, end)` of `trace` against `tables`, mutating
-/// `st` in place. Returns the full-tape divergence site if a recorded
-/// comparison flips. Mirrors `Trace::replay_raw_in` operation for
-/// operation (the equivalence tests in `tests/replay_equivalence.rs` and
-/// `batch::tests` pin the pair).
-#[allow(clippy::too_many_lines)]
-fn run_range(
-    trace: &Trace,
-    tables: &Tables,
-    st: &mut CandState,
-    start: usize,
-    end: usize,
-) -> Option<usize> {
-    let CandState {
-        vals,
-        vslot,
-        arrays,
-        out,
-        cmp_seq,
-    } = st;
-    for p in &trace.raw_ops[start..end] {
-        let Packed { tag, fmt, a, b } = *p;
-        match tag {
-            Tag::Leaf => {
-                vals.push(tables.fmt(fmt).sanitize_f64(trace.pool[a as usize]));
-                vslot.push(fmt);
-            }
-            Tag::ArrayNew => {
-                let f = tables.fmt(fmt);
-                let raw = &trace.pool[a as usize..a as usize + b as usize];
-                arrays.push((fmt, raw.iter().map(|&x| f.sanitize_f64(x)).collect()));
-            }
-            Tag::ArrayZeros => {
-                arrays.push((fmt, vec![0.0; a as usize]));
-            }
-            Tag::ArrayDup => {
-                let dup = arrays[usize::from(fmt)].clone();
-                arrays.push(dup);
-            }
-            Tag::Load => {
-                let (slot, ref data) = arrays[usize::from(fmt)];
-                vals.push(data[a as usize]);
-                vslot.push(slot);
-            }
-            Tag::Store => {
-                let (v, sv) = (vals[b as usize], vslot[b as usize]);
-                let (slot, ref mut data) = arrays[usize::from(fmt)];
-                let cs = tables.cast(slot, sv);
-                data[a as usize] = if cs.exact { v } else { cs.fmt.sanitize_f64(v) };
-            }
-            Tag::Cast => {
-                let (v, sv) = (vals[a as usize], vslot[a as usize]);
-                let cs = tables.cast(fmt, sv);
-                vals.push(if cs.exact { v } else { cs.fmt.sanitize_f64(v) });
-                vslot.push(fmt);
-            }
-            Tag::Add | Tag::Sub | Tag::Mul | Tag::Div => {
-                let (va, vb, e) = promoted(tables, vals, vslot, a, b);
-                let op = match tag {
-                    Tag::Add => BinOp::Add,
-                    Tag::Sub => BinOp::Sub,
-                    Tag::Mul => BinOp::Mul,
-                    _ => BinOp::Div,
-                };
-                vals.push(Emulated.bin_op(e.fmt, op, va, vb));
-                vslot.push(e.result);
-            }
-            Tag::AddCast | Tag::SubCast | Tag::MulCast | Tag::DivCast => {
-                let (va, vb, e) = promoted(tables, vals, vslot, a, b);
-                let op = match tag {
-                    Tag::AddCast => BinOp::Add,
-                    Tag::SubCast => BinOp::Sub,
-                    Tag::MulCast => BinOp::Mul,
-                    _ => BinOp::Div,
-                };
-                let raw = Emulated.bin_op(e.fmt, op, va, vb);
-                vals.push(raw);
-                vslot.push(e.result);
-                let cs = tables.cast(fmt, e.result);
-                vals.push(if cs.exact {
-                    raw
-                } else {
-                    cs.fmt.sanitize_f64(raw)
-                });
-                vslot.push(fmt);
-            }
-            Tag::Sqrt => {
-                let (v, sv) = (vals[a as usize], vslot[a as usize]);
-                vals.push(Emulated.sqrt(tables.fmt(sv), v));
-                vslot.push(sv);
-            }
-            Tag::Min | Tag::Max => {
-                let (va, vb, e) = promoted(tables, vals, vslot, a, b);
-                let val = if tag == Tag::Min {
-                    Emulated.min(e.fmt, va, vb)
-                } else {
-                    Emulated.max(e.fmt, va, vb)
-                };
-                vals.push(val);
-                vslot.push(e.result);
-            }
-            Tag::Neg => {
-                vals.push(-vals[a as usize]);
-                vslot.push(vslot[a as usize]);
-            }
-            Tag::Abs => {
-                vals.push(vals[a as usize].abs());
-                vslot.push(vslot[a as usize]);
-            }
-            Tag::CmpLt | Tag::CmpLe => {
-                let (va, vb, _) = promoted(tables, vals, vslot, a, b);
-                let got = if tag == Tag::CmpLe { va <= vb } else { va < vb };
-                let seq = *cmp_seq;
-                *cmp_seq += 1;
-                if got != (fmt != 0) {
-                    return Some(trace.cmp_sites[seq] as usize);
-                }
-            }
-            Tag::Extract => out.push(vals[a as usize]),
-            Tag::ExtractArray => out.extend_from_slice(&arrays[usize::from(fmt)].1),
-            Tag::ExtractElement => out.push(arrays[usize::from(fmt)].1[a as usize]),
-            Tag::IntOps | Tag::VectorEnter | Tag::VectorExit => {}
-        }
-    }
-    None
-}
-
-/// The structure-of-arrays interpreter: one pass over `traces[0]`'s raw
-/// tape, values laid out as `vals[id * lanes + lane]` and arrays as
-/// `data[idx * lanes + lane]`. Per-op decode, dispatch and table reads
-/// happen once; only the arithmetic is per-lane. Lanes that diverge are
-/// marked dead and skipped at comparisons (elsewhere they compute
-/// harmlessly — f64 arithmetic cannot fault); the pass stops early when
-/// every lane is dead.
-#[allow(clippy::too_many_lines)]
-fn batch_raw(traces: &[&Trace], config: &TypeConfig, scratch: &mut Scratch) -> Vec<Replayed> {
-    let lanes = traces.len();
-    let leader = traces[0];
-    let Scratch {
-        vals,
-        vslot,
-        arrays,
-        spare,
-        spare_bytes,
-        tables,
-    } = scratch;
-    tables.rebuild(leader, config);
-
-    vals.clear();
-    vslot.clear();
-    vals.reserve((leader.n_values as usize + 1) * lanes);
-    vslot.reserve(leader.n_values as usize + 1);
-    vals.resize(lanes, 0.0);
-    vslot.push(0);
-    arrays.push((0, take_buf(spare, spare_bytes)));
-
-    let mut outs: Vec<Vec<f64>> = traces
-        .iter()
-        .map(|t| Vec::with_capacity(t.outputs.len()))
-        .collect();
-    let mut results: Vec<Option<Replayed>> = vec![None; lanes];
-    let mut alive: Vec<bool> = vec![true; lanes];
-    let mut alive_count = lanes;
-    let mut cmp_seq = 0usize;
-
-    'tape: for p in &leader.raw_ops {
-        let Packed { tag, fmt, a, b } = *p;
-        match tag {
-            Tag::Leaf => {
-                let f = tables.fmt(fmt);
-                vals.extend(traces.iter().map(|t| f.sanitize_f64(t.pool[a as usize])));
-                vslot.push(fmt);
-            }
-            Tag::ArrayNew => {
-                let f = tables.fmt(fmt);
-                let mut data = take_buf(spare, spare_bytes);
-                data.clear();
-                data.reserve(b as usize * lanes);
-                for idx in 0..b as usize {
-                    data.extend(
-                        traces
-                            .iter()
-                            .map(|t| f.sanitize_f64(t.pool[a as usize + idx])),
-                    );
-                }
-                arrays.push((fmt, data));
-            }
-            Tag::ArrayZeros => {
-                let mut data = take_buf(spare, spare_bytes);
-                data.clear();
-                data.resize(a as usize * lanes, 0.0);
-                arrays.push((fmt, data));
-            }
-            Tag::ArrayDup => {
-                let (slot, ref src) = arrays[usize::from(fmt)];
-                let mut data = take_buf(spare, spare_bytes);
-                data.clear();
-                data.extend_from_slice(src);
-                arrays.push((slot, data));
-            }
-            Tag::Load => {
-                let (slot, ref data) = arrays[usize::from(fmt)];
-                let base = a as usize * lanes;
-                vals.extend_from_slice(&data[base..base + lanes]);
-                vslot.push(slot);
-            }
-            Tag::Store => {
-                let sv = vslot[b as usize];
-                let vbase = b as usize * lanes;
-                let (slot, ref mut data) = arrays[usize::from(fmt)];
-                let cs = tables.cast(slot, sv);
-                let abase = a as usize * lanes;
-                if cs.exact {
-                    data[abase..abase + lanes].copy_from_slice(&vals[vbase..vbase + lanes]);
-                } else {
-                    for l in 0..lanes {
-                        data[abase + l] = cs.fmt.sanitize_f64(vals[vbase + l]);
-                    }
-                }
-            }
-            Tag::Cast => {
-                let sv = vslot[a as usize];
-                let base = a as usize * lanes;
-                let cs = tables.cast(fmt, sv);
-                if cs.exact {
-                    vals.extend_from_within(base..base + lanes);
-                } else {
-                    for l in 0..lanes {
-                        let v = cs.fmt.sanitize_f64(vals[base + l]);
-                        vals.push(v);
-                    }
-                }
-                vslot.push(fmt);
-            }
-            Tag::Add
-            | Tag::Sub
-            | Tag::Mul
-            | Tag::Div
-            | Tag::AddCast
-            | Tag::SubCast
-            | Tag::MulCast
-            | Tag::DivCast => {
-                let e = tables.promo(vslot[a as usize], vslot[b as usize]);
-                let op = match tag {
-                    Tag::Add | Tag::AddCast => BinOp::Add,
-                    Tag::Sub | Tag::SubCast => BinOp::Sub,
-                    Tag::Mul | Tag::MulCast => BinOp::Mul,
-                    _ => BinOp::Div,
-                };
-                let (abase, bbase) = (a as usize * lanes, b as usize * lanes);
-                for l in 0..lanes {
-                    let mut va = vals[abase + l];
-                    let mut vb = vals[bbase + l];
-                    if e.san_a {
-                        va = e.fmt.sanitize_f64(va);
-                    }
-                    if e.san_b {
-                        vb = e.fmt.sanitize_f64(vb);
-                    }
-                    vals.push(Emulated.bin_op(e.fmt, op, va, vb));
-                }
-                vslot.push(e.result);
-                let fused = matches!(
-                    tag,
-                    Tag::AddCast | Tag::SubCast | Tag::MulCast | Tag::DivCast
-                );
-                if fused {
-                    // Second value of the fused entry: the bin results we
-                    // just pushed, re-rounded through the interned
-                    // (result-slot, dst-slot) cast cell.
-                    let rbase = vals.len() - lanes;
-                    let cs = tables.cast(fmt, e.result);
-                    if cs.exact {
-                        vals.extend_from_within(rbase..rbase + lanes);
-                    } else {
-                        for l in 0..lanes {
-                            let v = cs.fmt.sanitize_f64(vals[rbase + l]);
-                            vals.push(v);
-                        }
-                    }
-                    vslot.push(fmt);
-                }
-            }
-            Tag::Sqrt => {
-                let sv = vslot[a as usize];
-                let f = tables.fmt(sv);
-                let base = a as usize * lanes;
-                for l in 0..lanes {
-                    let v = Emulated.sqrt(f, vals[base + l]);
-                    vals.push(v);
-                }
-                vslot.push(sv);
-            }
-            Tag::Min | Tag::Max => {
-                let e = tables.promo(vslot[a as usize], vslot[b as usize]);
-                let (abase, bbase) = (a as usize * lanes, b as usize * lanes);
-                for l in 0..lanes {
-                    let mut va = vals[abase + l];
-                    let mut vb = vals[bbase + l];
-                    if e.san_a {
-                        va = e.fmt.sanitize_f64(va);
-                    }
-                    if e.san_b {
-                        vb = e.fmt.sanitize_f64(vb);
-                    }
-                    vals.push(if tag == Tag::Min {
-                        Emulated.min(e.fmt, va, vb)
-                    } else {
-                        Emulated.max(e.fmt, va, vb)
-                    });
-                }
-                vslot.push(e.result);
-            }
-            Tag::Neg => {
-                let base = a as usize * lanes;
-                for l in 0..lanes {
-                    let v = -vals[base + l];
-                    vals.push(v);
-                }
-                vslot.push(vslot[a as usize]);
-            }
-            Tag::Abs => {
-                let base = a as usize * lanes;
-                for l in 0..lanes {
-                    let v = vals[base + l].abs();
-                    vals.push(v);
-                }
-                vslot.push(vslot[a as usize]);
-            }
-            Tag::CmpLt | Tag::CmpLe => {
-                let e = tables.promo(vslot[a as usize], vslot[b as usize]);
-                let (abase, bbase) = (a as usize * lanes, b as usize * lanes);
-                let seq = cmp_seq;
-                cmp_seq += 1;
-                for (l, trace) in traces.iter().enumerate() {
-                    if !alive[l] {
-                        continue;
-                    }
-                    let mut va = vals[abase + l];
-                    let mut vb = vals[bbase + l];
-                    if e.san_a {
-                        va = e.fmt.sanitize_f64(va);
-                    }
-                    if e.san_b {
-                        vb = e.fmt.sanitize_f64(vb);
-                    }
-                    let got = if tag == Tag::CmpLe { va <= vb } else { va < vb };
-                    // Each lane checks against its *own* recorded outcome
-                    // — branch decisions are input-data-dependent even on
-                    // a shared tape shape.
-                    let expected = trace_cmp_outcome(trace, seq);
-                    if got != expected {
-                        results[l] = Some(Replayed::Divergent {
-                            at: trace.cmp_sites[seq] as usize,
-                        });
-                        alive[l] = false;
-                        alive_count -= 1;
-                    }
-                }
-                if alive_count == 0 {
-                    break 'tape;
-                }
-            }
-            Tag::Extract => {
-                let base = a as usize * lanes;
-                for (l, o) in outs.iter_mut().enumerate() {
-                    o.push(vals[base + l]);
-                }
-            }
-            Tag::ExtractArray => {
-                let (_, ref data) = arrays[usize::from(fmt)];
-                let len = data.len() / lanes;
-                for (l, o) in outs.iter_mut().enumerate() {
-                    o.extend((0..len).map(|idx| data[idx * lanes + l]));
-                }
-            }
-            Tag::ExtractElement => {
-                let (_, ref data) = arrays[usize::from(fmt)];
-                let base = a as usize * lanes;
-                for (l, o) in outs.iter_mut().enumerate() {
-                    o.push(data[base + l]);
-                }
-            }
-            Tag::IntOps | Tag::VectorEnter | Tag::VectorExit => {}
-        }
-    }
-
-    results
-        .into_iter()
-        .zip(outs)
-        .zip(traces)
-        .map(|((r, out), trace)| match r {
-            Some(divergent) => divergent,
-            None => Replayed::Output(match trace.plan {
-                OutputPlan::FromExtracts => out,
-                OutputPlan::Verbatim => trace.outputs.clone(),
-            }),
-        })
-        .collect()
-}
-
-/// The `seq`-th recorded comparison outcome of `trace` (the `fmt` field of
-/// its raw `Cmp` entry at the full-tape site).
-#[inline]
-fn trace_cmp_outcome(trace: &Trace, seq: usize) -> bool {
-    trace.ops[trace.cmp_sites[seq] as usize].fmt != 0
 }
 
 #[cfg(test)]
@@ -647,9 +182,9 @@ mod tests {
             })
             .unwrap()
         };
-        // All lanes record the same branch (tape shapes must match to
-        // batch); lane 1 sits right below the threshold and flips at
-        // binary8, lanes 0 and 2 are comfortably below at any precision.
+        // All lanes record the same branch (same tape shape); lane 1
+        // sits right below the threshold and flips at binary8, lanes 0
+        // and 2 are comfortably below at any precision.
         let traces = [branchy(0.5), branchy(1.0 + 3.0 / 1024.0), branchy(0.25)];
         let refs: Vec<&Trace> = traces.iter().collect();
         assert!(refs[1..].iter().all(|t| refs[0].same_shape(t)));

@@ -672,7 +672,7 @@ impl Trace {
             }
         }
 
-        let mut trace = Trace {
+        Ok(Trace {
             ops: state.ops,
             raw_ops,
             cmp_sites,
@@ -685,9 +685,6 @@ impl Trace {
             plan,
             outputs,
             comparisons: state.comparisons,
-            struct_hash: 0,
-        };
-        trace.struct_hash = trace.compute_struct_hash();
-        Ok(trace)
+        })
     }
 }

@@ -17,10 +17,10 @@
 //! (`raw_path_matches_fx_path` below, and the kernel-level proptests in
 //! `tests/replay_equivalence.rs`, pin this).
 //!
-//! The batched structure-of-arrays variants — one pass over the tape for
-//! many input sets, or many candidate configurations — live in
-//! [`crate::batch`] and share this module's per-replay dispatch tables
-//! ([`Tables`]) and recycled scratch storage ([`Scratch`]).
+//! The raw loop ([`Trace::run_raw`]) runs any tape range `[start, end)`
+//! on a [`Regs`] state, so [`Trace::replay_candidates`] (in
+//! [`crate::batch`]) reuses it to share a tape prefix across candidate
+//! configurations.
 
 use std::cell::RefCell;
 
@@ -169,13 +169,7 @@ impl Tables {
 /// operands' slots and re-rounds whichever side the cell says, returning
 /// the cell so the caller knows the result slot/format.
 #[inline]
-pub(crate) fn promoted(
-    t: &Tables,
-    vals: &[f64],
-    vslot: &[u16],
-    a: u32,
-    b: u32,
-) -> (f64, f64, Promo) {
+fn promoted(t: &Tables, vals: &[f64], vslot: &[u16], a: u32, b: u32) -> (f64, f64, Promo) {
     let e = t.promo(vslot[a as usize], vslot[b as usize]);
     let mut va = vals[a as usize];
     let mut vb = vals[b as usize];
@@ -197,28 +191,71 @@ pub(crate) const MAX_SPARE_BUFFERS: usize = 16;
 /// has ever tuned, per thread.
 pub(crate) const MAX_SPARE_BYTES: usize = 4 << 20;
 
-/// Takes a recycled buffer (empty, capacity retained) or a fresh one.
-#[inline]
-pub(crate) fn take_buf(spare: &mut Vec<Vec<f64>>, spare_bytes: &mut usize) -> Vec<f64> {
-    match spare.pop() {
-        Some(buf) => {
-            *spare_bytes -= buf.capacity() * std::mem::size_of::<f64>();
-            buf
+/// Retired array storage, recycled into later replays' arrays. Bounded by
+/// [`MAX_SPARE_BUFFERS`] / [`MAX_SPARE_BYTES`].
+#[derive(Default)]
+pub(crate) struct Spare {
+    pub(crate) bufs: Vec<Vec<f64>>,
+    /// Total capacity bytes currently held in `bufs`.
+    pub(crate) bytes: usize,
+}
+
+impl Spare {
+    /// Takes a recycled buffer (empty, capacity retained) or a fresh one.
+    #[inline]
+    fn take(&mut self) -> Vec<f64> {
+        match self.bufs.pop() {
+            Some(mut buf) => {
+                self.bytes -= buf.capacity() * std::mem::size_of::<f64>();
+                buf.clear();
+                buf
+            }
+            None => Vec::new(),
         }
-        None => Vec::new(),
+    }
+
+    /// Recycles every array buffer of `arrays` (leaving it empty, capacity
+    /// kept), dropping any buffer that would break a retention cap.
+    pub(crate) fn retire(&mut self, arrays: &mut Vec<(u16, Vec<f64>)>) {
+        for (_, buf) in arrays.drain(..) {
+            let bytes = buf.capacity() * std::mem::size_of::<f64>();
+            if self.bufs.len() < MAX_SPARE_BUFFERS && self.bytes + bytes <= MAX_SPARE_BYTES {
+                self.bytes += bytes;
+                self.bufs.push(buf);
+            }
+        }
     }
 }
 
-/// Recycles a retired buffer into `spare`, unless either retention cap
-/// (count or bytes) would be exceeded — then the buffer is simply dropped.
-#[inline]
-pub(crate) fn recycle_buf(spare: &mut Vec<Vec<f64>>, spare_bytes: &mut usize, buf: Vec<f64>) {
-    let bytes = buf.capacity() * std::mem::size_of::<f64>();
-    if spare.len() >= MAX_SPARE_BUFFERS || *spare_bytes + bytes > MAX_SPARE_BYTES {
-        return;
+/// The raw interpreter's machine state: the value table (split into
+/// parallel columns — 10 bytes per value instead of a padded struct, the
+/// table is pure memory traffic), the arrays as (format slot, storage),
+/// the extracted outputs and the comparison cursor. Cloneable, so
+/// [`Trace::replay_candidates`] can fork it after a shared prefix.
+#[derive(Clone, Default)]
+pub(crate) struct Regs {
+    vals: Vec<f64>,
+    vslot: Vec<u16>,
+    pub(crate) arrays: Vec<(u16, Vec<f64>)>,
+    out: Vec<f64>,
+    cmp_seq: usize,
+}
+
+impl Regs {
+    /// Resets to the start of `trace`'s tape: slot 0 of the value and
+    /// array tables is a dummy so ids index directly.
+    pub(crate) fn reset(&mut self, trace: &Trace, spare: &mut Spare) {
+        self.vals.clear();
+        self.vslot.clear();
+        self.vals.reserve(trace.n_values as usize + 1);
+        self.vslot.reserve(trace.n_values as usize + 1);
+        self.vals.push(0.0);
+        self.vslot.push(0);
+        self.arrays.push((0, spare.take()));
+        self.out.clear();
+        self.out.reserve(trace.outputs.len());
+        self.cmp_seq = 0;
     }
-    *spare_bytes += bytes;
-    spare.push(buf);
 }
 
 /// Reusable raw-interpreter buffers. A tuning run replays the same tape
@@ -227,57 +264,36 @@ pub(crate) fn recycle_buf(spare: &mut Vec<Vec<f64>>, spare_bytes: &mut usize, bu
 /// page faults of first touch) per candidate. The scratch is thread-local:
 /// replays on pool workers each reuse their own.
 ///
-/// Invariant between replays: `arrays` is empty — every exit path of every
-/// interpreter (including early [`Replayed::Divergent`] returns) retires
-/// its arrays into `spare`, so no per-run state leaks into the next replay
-/// (or, in the batched interpreter, across input-set lanes).
+/// Invariant between replays: `regs.arrays` is empty — every exit path
+/// (including early [`Replayed::Divergent`] returns) retires its arrays
+/// into `spare`, so no per-run state leaks into the next replay.
 #[derive(Default)]
 pub(crate) struct Scratch {
-    /// Value table, split into parallel columns (10 bytes per value
-    /// instead of a padded struct — the table is pure memory traffic).
-    pub(crate) vals: Vec<f64>,
-    /// Format slot of each value.
-    pub(crate) vslot: Vec<u16>,
-    /// Arrays as (format slot, storage).
-    pub(crate) arrays: Vec<(u16, Vec<f64>)>,
-    /// Retired array storage, recycled into the next replay's arrays.
-    /// Bounded by [`MAX_SPARE_BUFFERS`] / [`MAX_SPARE_BYTES`].
-    pub(crate) spare: Vec<Vec<f64>>,
-    /// Total capacity bytes currently held in `spare`.
-    pub(crate) spare_bytes: usize,
+    pub(crate) regs: Regs,
+    pub(crate) spare: Spare,
     /// Resolved dispatch tables of the current replay.
     pub(crate) tables: Tables,
 }
 
 impl Scratch {
-    /// Retires every live array buffer into the (bounded) spare pool —
-    /// called on **every** interpreter exit path, divergent or not.
-    pub(crate) fn retire_arrays(&mut self) {
-        let mut arrays = std::mem::take(&mut self.arrays);
-        for (_, data) in arrays.drain(..) {
-            recycle_buf(&mut self.spare, &mut self.spare_bytes, data);
-        }
-        // Keep the (empty) Vec so its capacity is reused next replay.
-        self.arrays = arrays;
-    }
-
     /// Debug-build check of the between-replays invariants.
     pub(crate) fn debug_assert_clean(&self) {
         debug_assert!(
-            self.arrays.is_empty(),
+            self.regs.arrays.is_empty(),
             "scratch.arrays leaked across replays"
         );
         debug_assert!(
-            self.spare.len() <= MAX_SPARE_BUFFERS,
+            self.spare.bufs.len() <= MAX_SPARE_BUFFERS,
             "spare count cap violated"
         );
         debug_assert!(
-            self.spare_bytes <= MAX_SPARE_BYTES,
+            self.spare.bytes <= MAX_SPARE_BYTES,
             "spare byte cap violated"
         );
         debug_assert_eq!(
-            self.spare_bytes,
+            self.spare.bytes,
             self.spare
+                .bufs
                 .iter()
                 .map(|b| b.capacity() * std::mem::size_of::<f64>())
                 .sum::<usize>(),
@@ -454,43 +470,60 @@ impl Trace {
     }
 
     /// The unobserved interpreter: plain `f64` values + format slots
-    /// through the inlined emulated datapath. Must mirror the uninstalled
-    /// `Fx` path operation for operation — promotion rule, store rounding,
-    /// RISC-V min/max, quiet comparisons — so its outputs are bit-identical
-    /// to [`Trace::replay_fx`] (and therefore to live execution).
+    /// through the inlined emulated datapath, on the thread's recycled
+    /// scratch. Must mirror the uninstalled `Fx` path operation for
+    /// operation — promotion rule, store rounding, RISC-V min/max, quiet
+    /// comparisons — so its outputs are bit-identical to
+    /// [`Trace::replay_fx`] (and therefore to live execution).
     pub(crate) fn replay_raw(&self, config: &TypeConfig) -> Replayed {
         with_scratch(|scratch| {
-            let result = self.replay_raw_in(config, scratch);
-            scratch.retire_arrays();
+            let Scratch {
+                regs,
+                spare,
+                tables,
+            } = scratch;
+            tables.rebuild(self, config);
+            regs.reset(self, spare);
+            let result = match self.run_raw(tables, regs, spare, 0, self.raw_ops.len()) {
+                Some(at) => Replayed::Divergent { at },
+                None => Replayed::Output(self.take_output(regs)),
+            };
+            // Divergent or not, per-run state must not leak into the
+            // next replay.
+            spare.retire(&mut regs.arrays);
             result
         })
     }
 
-    /// The raw interpreter loop proper. Leaves its arrays in
-    /// `scratch.arrays` on every exit path — the caller retires them.
+    /// The program outputs of a completed raw run.
+    pub(crate) fn take_output(&self, regs: &mut Regs) -> Vec<f64> {
+        match self.plan {
+            OutputPlan::FromExtracts => std::mem::take(&mut regs.out),
+            OutputPlan::Verbatim => self.outputs.clone(),
+        }
+    }
+
+    /// The raw interpreter loop, the only one: runs raw entries
+    /// `[start, end)` against `tables`, mutating `regs` in place (new
+    /// arrays draw their storage from `spare`). Returns the full-tape
+    /// divergence site as soon as a recorded comparison flips.
     #[allow(clippy::too_many_lines)]
-    fn replay_raw_in(&self, config: &TypeConfig, scratch: &mut Scratch) -> Replayed {
-        let Scratch {
+    pub(crate) fn run_raw(
+        &self,
+        tables: &Tables,
+        regs: &mut Regs,
+        spare: &mut Spare,
+        start: usize,
+        end: usize,
+    ) -> Option<usize> {
+        let Regs {
             vals,
             vslot,
             arrays,
-            spare,
-            spare_bytes,
-            tables,
-        } = scratch;
-        tables.rebuild(self, config);
-
-        vals.clear();
-        vslot.clear();
-        vals.reserve(self.n_values as usize + 1);
-        vslot.reserve(self.n_values as usize + 1);
-        vals.push(0.0);
-        vslot.push(0);
-        arrays.push((0, take_buf(spare, spare_bytes)));
-        let mut out: Vec<f64> = Vec::with_capacity(self.outputs.len());
-        let mut cmp_seq = 0usize;
-
-        for p in &self.raw_ops {
+            out,
+            cmp_seq,
+        } = regs;
+        for p in &self.raw_ops[start..end] {
             let Packed { tag, fmt, a, b } = *p;
             match tag {
                 Tag::Leaf => {
@@ -500,21 +533,18 @@ impl Trace {
                 Tag::ArrayNew => {
                     let f = tables.fmt(fmt);
                     let raw = &self.pool[a as usize..a as usize + b as usize];
-                    let mut data = take_buf(spare, spare_bytes);
-                    data.clear();
+                    let mut data = spare.take();
                     data.extend(raw.iter().map(|&x| f.sanitize_f64(x)));
                     arrays.push((fmt, data));
                 }
                 Tag::ArrayZeros => {
-                    let mut data = take_buf(spare, spare_bytes);
-                    data.clear();
+                    let mut data = spare.take();
                     data.resize(a as usize, 0.0);
                     arrays.push((fmt, data));
                 }
                 Tag::ArrayDup => {
                     let (slot, ref src) = arrays[usize::from(fmt)];
-                    let mut data = take_buf(spare, spare_bytes);
-                    data.clear();
+                    let mut data = spare.take();
                     data.extend_from_slice(src);
                     arrays.push((slot, data));
                 }
@@ -594,16 +624,12 @@ impl Trace {
                 Tag::CmpLt | Tag::CmpLe => {
                     let (va, vb, _) = promoted(tables, vals, vslot, a, b);
                     let got = if tag == Tag::CmpLe { va <= vb } else { va < vb };
-                    let seq = cmp_seq;
-                    cmp_seq += 1;
+                    let seq = *cmp_seq;
+                    *cmp_seq += 1;
                     if got != (fmt != 0) {
                         // Map the k-th raw comparison back to its
-                        // full-tape address. The caller retires the arrays
-                        // pushed so far — divergence must not leak state
-                        // into the next replay.
-                        return Replayed::Divergent {
-                            at: self.cmp_sites[seq] as usize,
-                        };
+                        // full-tape address.
+                        return Some(self.cmp_sites[seq] as usize);
                     }
                 }
                 Tag::Extract => out.push(vals[a as usize]),
@@ -613,11 +639,7 @@ impl Trace {
                 Tag::IntOps | Tag::VectorEnter | Tag::VectorExit => {}
             }
         }
-
-        match self.plan {
-            OutputPlan::FromExtracts => Replayed::Output(out),
-            OutputPlan::Verbatim => Replayed::Output(self.outputs.clone()),
-        }
+        None
     }
 }
 
@@ -876,12 +898,12 @@ mod tests {
             let s = s.borrow();
             s.debug_assert_clean();
             assert!(
-                s.spare_bytes <= MAX_SPARE_BYTES,
+                s.spare.bytes <= MAX_SPARE_BYTES,
                 "spare holds {} bytes",
-                s.spare_bytes
+                s.spare.bytes
             );
             assert!(
-                s.spare.iter().all(|b| b.capacity() < big_len),
+                s.spare.bufs.iter().all(|b| b.capacity() < big_len),
                 "the over-cap buffer was retained"
             );
         });
@@ -901,7 +923,11 @@ mod tests {
         SCRATCH.with(|s| {
             let s = s.borrow();
             s.debug_assert_clean();
-            assert!(s.spare.len() <= MAX_SPARE_BUFFERS, "{}", s.spare.len());
+            assert!(
+                s.spare.bufs.len() <= MAX_SPARE_BUFFERS,
+                "{}",
+                s.spare.bufs.len()
+            );
         });
     }
 
@@ -924,7 +950,7 @@ mod tests {
         assert!(matches!(trace.replay(&coarse), Replayed::Divergent { .. }));
         SCRATCH.with(|s| {
             let s = s.borrow();
-            assert!(s.arrays.is_empty(), "divergent exit leaked arrays");
+            assert!(s.regs.arrays.is_empty(), "divergent exit leaked arrays");
             s.debug_assert_clean();
         });
     }

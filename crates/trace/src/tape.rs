@@ -295,77 +295,37 @@ pub struct Trace {
     pub(crate) plan: OutputPlan,
     pub(crate) outputs: Vec<f64>,
     pub(crate) comparisons: u32,
-    /// Structural fingerprint (FNV-1a) over everything the batched
-    /// interpreter needs in common across lanes: the raw op stream
-    /// *excluding* recorded comparison outcomes (data-dependent, read
-    /// per lane), format slots, variable names, table sizes, pool length
-    /// and output plan. Computed once at record time; see
-    /// [`Trace::same_shape`].
-    pub(crate) struct_hash: u64,
-}
-
-/// Folds `bytes` into an FNV-1a 64-bit accumulator.
-fn fnv1a(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= u64::from(b);
-        *h = h.wrapping_mul(0x0100_0000_01b3);
-    }
 }
 
 impl Trace {
-    /// Computes [`Trace::struct_hash`] — called once by the recorder.
-    pub(crate) fn compute_struct_hash(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for p in &self.raw_ops {
-            // A comparison's `fmt` field holds its *recorded outcome*,
-            // which is input-data-dependent; lanes with different
-            // outcomes still share the tape structure.
+    /// `true` when `other` records the *same program shape* as `self`:
+    /// identical raw op stream (comparison outcomes aside), format slots,
+    /// variable names, table sizes, pool length and output plan — i.e.
+    /// the same kernel taped on a different input set, with possibly
+    /// different recorded branch outcomes.
+    #[must_use]
+    pub fn same_shape(&self, other: &Trace) -> bool {
+        // A comparison's `fmt` field holds its *recorded outcome*, which
+        // is input-data-dependent and not part of the shape.
+        let shape = |p: &Packed| {
             let fmt = match p.tag {
                 Tag::CmpLt | Tag::CmpLe => 0,
                 _ => p.fmt,
             };
-            fnv1a(&mut h, &[p.tag as u8]);
-            fnv1a(&mut h, &fmt.to_le_bytes());
-            fnv1a(&mut h, &p.a.to_le_bytes());
-            fnv1a(&mut h, &p.b.to_le_bytes());
-        }
-        for slot in &self.fmt_slots {
-            match *slot {
-                FmtRef::Var(i) => {
-                    fnv1a(&mut h, &[0]);
-                    fnv1a(&mut h, &i.to_le_bytes());
-                }
-                FmtRef::Fixed(fmt) => {
-                    fnv1a(&mut h, &[1]);
-                    fnv1a(&mut h, &fmt.exp_bits().to_le_bytes());
-                    fnv1a(&mut h, &fmt.man_bits().to_le_bytes());
-                }
-            }
-        }
-        for name in &self.var_names {
-            fnv1a(&mut h, &(name.len() as u32).to_le_bytes());
-            fnv1a(&mut h, name.as_bytes());
-        }
-        fnv1a(&mut h, &self.n_values.to_le_bytes());
-        fnv1a(&mut h, &self.n_arrays.to_le_bytes());
-        fnv1a(&mut h, &(self.pool.len() as u64).to_le_bytes());
-        fnv1a(&mut h, &[matches!(self.plan, OutputPlan::Verbatim) as u8]);
-        fnv1a(&mut h, &(self.outputs.len() as u64).to_le_bytes());
-        h
-    }
-
-    /// `true` when `other` records the *same program shape* as `self`:
-    /// identical raw op stream (comparison outcomes aside), format slots,
-    /// variable names and table sizes — i.e. the same kernel taped on a
-    /// different input set, with possibly different recorded branch
-    /// outcomes. Shape-equal traces can ride one batched replay pass
-    /// ([`Trace::replay_batch`]); shape-unequal ones fall back to
-    /// per-trace replay. Fingerprint-based, so this is O(1).
-    #[must_use]
-    pub fn same_shape(&self, other: &Trace) -> bool {
-        self.struct_hash == other.struct_hash
-            && self.raw_ops.len() == other.raw_ops.len()
+            (p.tag, fmt, p.a, p.b)
+        };
+        self.raw_ops.len() == other.raw_ops.len()
+            && self
+                .raw_ops
+                .iter()
+                .map(shape)
+                .eq(other.raw_ops.iter().map(shape))
+            && self.fmt_slots == other.fmt_slots
+            && self.var_names == other.var_names
+            && (self.n_values, self.n_arrays) == (other.n_values, other.n_arrays)
             && self.pool.len() == other.pool.len()
+            && self.plan == other.plan
+            && self.outputs.len() == other.outputs.len()
     }
 
     /// Number of tape entries.

@@ -77,7 +77,7 @@ pub use report::{
     classify_variables, storage_config, validated_storage_config, PrecisionHistogram,
 };
 pub use search::{
-    distributed_search, eval_format, replay_batch_from_env, ReplaySummary, SearchParams, TunedVar,
-    TunerMode, TuningOutcome,
+    distributed_search, eval_format, ReplaySummary, SearchParams, TunedVar, TunerMode,
+    TuningOutcome,
 };
 pub use tunable::Tunable;

@@ -29,7 +29,7 @@
 //! contract.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 use flexfloat::{Recorder, TraceCounts, TypeConfig, VarSpec};
@@ -108,27 +108,6 @@ impl std::fmt::Display for TunerMode {
     }
 }
 
-/// The process-wide default for batched replay: the `TP_REPLAY_BATCH`
-/// environment variable (`"on"` or `"off"`), or on when unset. Read once
-/// and cached; unknown values fail fast, mirroring `TP_TUNER_MODE`.
-///
-/// Batching is decision-transparent — chosen formats, evaluation counts
-/// and the [`ReplaySummary`] are bit-identical either way (pinned by
-/// `tests/replay_equivalence.rs`) — so the switch exists for perf
-/// comparison and bisection, not behavior.
-#[must_use]
-pub fn replay_batch_from_env() -> bool {
-    static BATCH: OnceLock<bool> = OnceLock::new();
-    *BATCH.get_or_init(|| match std::env::var("TP_REPLAY_BATCH").as_deref() {
-        Ok("on") | Err(std::env::VarError::NotPresent) => true,
-        Ok("off") => false,
-        Ok(other) => {
-            panic!("TP_REPLAY_BATCH={other:?} is not a switch (use \"on\" or \"off\")")
-        }
-        Err(e) => panic!("TP_REPLAY_BATCH is set but unreadable: {e}"),
-    })
-}
-
 /// How much of a tuning run the replay engine carried (all zero in
 /// [`TunerMode::Live`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -173,168 +152,57 @@ struct ReplayCounters {
 /// live evaluation, so verdicts and chosen formats are unchanged.
 const DIVERGENCE_LATCH: u32 = 8;
 
-/// A cached per-set replay verdict from a batched pass.
+/// The outcome of replaying one candidate on one input set's tape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Verdict {
     /// Replay completed and the output met the threshold.
     Pass,
     /// Replay completed and the output missed the threshold.
     Fail,
-    /// Replay hit the divergence guard; the consumer must evaluate live.
+    /// Replay hit the divergence guard; the caller must evaluate live.
     Diverged,
 }
 
-/// What the batched fast path served for one `(set, candidate)` query.
-enum Served {
-    /// A completed-replay verdict (counted as a replay for `set`).
-    Done(bool),
-    /// Replay diverged for this set (counted); the caller runs live.
-    Diverged,
-    /// The set cannot batch here — fall through to per-trace replay.
-    NoBatch,
+impl Verdict {
+    /// Grades one replay result against `set`'s golden output.
+    fn of(result: &Replayed, reference: &[f64], threshold: f64) -> Verdict {
+        match result {
+            Replayed::Output(out) if relative_rms_error(reference, out) <= threshold => {
+                Verdict::Pass
+            }
+            Replayed::Output(_) => Verdict::Fail,
+            Replayed::Divergent { .. } => Verdict::Diverged,
+        }
+    }
 }
 
-/// Sibling lanes are speculative: phase 1 tunes each input set
-/// independently, so a sibling set only profits from a batched lane if its
-/// own search later asks for the *same* candidate (which happens when the
-/// per-set trajectories coincide — common on straight-line kernels with
-/// similar input sets, rare when pass/fail patterns differ). Each group
-/// carries a debt counter: an extra lane costs [`LANE_COST`] and a
-/// consumed extra credits [`HIT_CREDIT`]. Full-group passes stop while
-/// the debt exceeds this limit, falling back to memoized single-lane
-/// replay; consumption pays debt down, so a group whose hit rate stays
-/// above `LANE_COST / HIT_CREDIT` batches indefinitely, while a
-/// never-hitting group wastes at most `LANE_DEBT_LIMIT / LANE_COST`
-/// lanes. The values are tuned empirically on the six straight-line
-/// kernels (see `BENCH_7.json`): a wider window or cheaper lane cost
-/// measured *slower*, because early speculative lanes — before any
-/// sibling search has demonstrated a coinciding trajectory — are mostly
-/// wasted. Performance-only: verdicts and tallies are identical on
-/// every path.
-const LANE_DEBT_LIMIT: i64 = 16;
-/// Debt charged per speculative extra lane in a batched pass.
-const LANE_COST: i64 = 1;
-/// Debt repaid when a sibling consumes a speculatively computed lane.
-const HIT_CREDIT: i64 = 2;
-
-/// One cached verdict per input set (by set index), each tagged with
-/// whether it is a still-unconsumed speculative extra lane.
-type LaneVerdicts = Vec<Option<(Verdict, bool)>>;
-
-/// Per-run replay context: one optional tape and one divergence latch per
-/// input set, the shared tally, and — when batching is on — the same-shape
-/// set groups plus a candidate-keyed verdict cache so one structure-of-
-/// arrays pass over a group's tapes serves every member's quality check.
-/// Empty (all-`None`) in [`TunerMode::Live`].
-struct ReplayCtx<'a> {
+/// Per-run replay context: one optional tape, one divergence latch and
+/// one verdict memo per input set, plus the shared tally. Empty
+/// (all-`None`) in [`TunerMode::Live`].
+struct ReplayCtx {
     traces: Vec<Option<Trace>>,
-    gates: Vec<std::sync::atomic::AtomicU32>,
+    gates: Vec<AtomicU32>,
+    /// Candidate key → replay verdict, per input set. A search asks for
+    /// the same candidate on the same set again and again (the repair
+    /// check re-validates the descent's result, the second pass and phase
+    /// 2 revisit it), and a replay is a pure function of `(set,
+    /// candidate)`, so a repeat is served from here instead of replaying.
+    memo: Vec<Mutex<HashMap<Vec<u8>, Verdict>>>,
     stats: ReplayCounters,
-    /// Golden outputs per input set — the batched pass checks quality
-    /// directly (the sequential path keeps doing it at the call site).
-    references: &'a [Vec<f64>],
-    /// Quality threshold the verdicts encode.
-    threshold: f64,
-    /// Same-shape group id per set (`None` = no tape, or batching off).
-    group: Vec<Option<usize>>,
-    /// Members of each group, in set order. Only groups with ≥ 2 members
-    /// ever batch; singletons use the ordinary per-trace path.
-    groups: Vec<Vec<usize>>,
-    /// candidate key → per-set verdicts computed by an earlier batched
-    /// pass, each tagged with whether it is still an unconsumed *extra*
-    /// lane (counted in the group's debt). Entries are kept (not
-    /// consumed): re-validations of the same candidate serve the same
-    /// verdict, exactly like re-replaying would.
-    cache: Mutex<HashMap<Vec<u8>, LaneVerdicts>>,
-    /// Speculative-lane debt per group (see [`LANE_DEBT_LIMIT`]).
-    lane_debt: Vec<std::sync::atomic::AtomicI64>,
-    /// Sets whose phase-1 search has completed. A done set only re-asks
-    /// for the (typically fresh) joined candidate in phase 2, so batching
-    /// speculative lanes for it is near-pure waste — the driver marks
-    /// sets done and [`ReplayCtx::batched`] stops computing their lanes.
-    done: Vec<std::sync::atomic::AtomicBool>,
-    /// Batched evaluation enabled ([`SearchParams::batch`]).
-    batch: bool,
     /// The kernel under search — labels the per-kernel `trace.*` metrics
     /// (`trace.replayed.CONV`, …). Observational only.
     app_name: String,
 }
 
-impl<'a> ReplayCtx<'a> {
-    fn new(
-        app_name: &str,
-        traces: Vec<Option<Trace>>,
-        references: &'a [Vec<f64>],
-        threshold: f64,
-        batch: bool,
-    ) -> Self {
-        let gates = traces
-            .iter()
-            .map(|_| std::sync::atomic::AtomicU32::new(0))
-            .collect();
-        // Group the sets whose tapes share a program shape: same kernel,
-        // different inputs (and possibly different recorded branch
-        // outcomes) batch into one structure-of-arrays pass.
-        let mut group: Vec<Option<usize>> = vec![None; traces.len()];
-        let mut groups: Vec<Vec<usize>> = Vec::new();
-        if batch {
-            for set in 0..traces.len() {
-                let Some(trace) = traces[set].as_ref() else {
-                    continue;
-                };
-                let gid = groups.iter().position(|members: &Vec<usize>| {
-                    traces[members[0]]
-                        .as_ref()
-                        .is_some_and(|leader| leader.same_shape(trace))
-                });
-                match gid {
-                    Some(g) => {
-                        groups[g].push(set);
-                        group[set] = Some(g);
-                    }
-                    None => {
-                        group[set] = Some(groups.len());
-                        groups.push(vec![set]);
-                    }
-                }
-            }
-        }
-        let lane_debt = groups
-            .iter()
-            .map(|_| std::sync::atomic::AtomicI64::new(0))
-            .collect();
-        let done = (0..traces.len())
-            .map(|_| std::sync::atomic::AtomicBool::new(false))
-            .collect();
+impl ReplayCtx {
+    fn new(app_name: &str, traces: Vec<Option<Trace>>) -> Self {
         ReplayCtx {
+            gates: traces.iter().map(|_| AtomicU32::new(0)).collect(),
+            memo: traces.iter().map(|_| Mutex::default()).collect(),
             traces,
-            gates,
             stats: ReplayCounters::default(),
-            references,
-            threshold,
-            group,
-            groups,
-            cache: Mutex::new(HashMap::new()),
-            lane_debt,
-            done,
-            batch,
             app_name: app_name.to_owned(),
         }
-    }
-
-    /// Marks `set`'s phase-1 search complete (perf-only; see `done`).
-    fn mark_done(&self, set: usize) {
-        self.done[set].store(true, Ordering::Relaxed);
-    }
-
-    fn live(app_name: &str, input_sets: usize, references: &'a [Vec<f64>]) -> Self {
-        Self::new(
-            app_name,
-            vec![None; input_sets],
-            references,
-            f64::INFINITY,
-            false,
-        )
     }
 
     /// The tape to try for `set`, unless none was recorded or the
@@ -345,6 +213,21 @@ impl<'a> ReplayCtx<'a> {
             return None;
         }
         Some(trace)
+    }
+
+    /// `set`'s memoized verdict for `cand`, computing (outside the lock)
+    /// and storing it with `replay` on a miss.
+    fn memoized(&self, set: usize, cand: &Candidate, replay: impl FnOnce() -> Verdict) -> Verdict {
+        let key = cand_key(cand);
+        let memo = &self.memo[set];
+        if let Some(&verdict) = memo.lock().expect("verdict memo poisoned").get(&key) {
+            return verdict;
+        }
+        let verdict = replay();
+        memo.lock()
+            .expect("verdict memo poisoned")
+            .insert(key, verdict);
+        verdict
     }
 
     fn note_outcome(&self, set: usize, diverged: bool) {
@@ -366,155 +249,6 @@ impl<'a> ReplayCtx<'a> {
                 tp_obs::counter_inc(&format!("trace.replayed.{}", self.app_name));
             }
         }
-    }
-
-    /// Converts one lane's replay result into a cacheable verdict.
-    fn verdict_of(&self, set: usize, result: &Replayed) -> Verdict {
-        match result {
-            Replayed::Output(out) => {
-                if relative_rms_error(&self.references[set], out) <= self.threshold {
-                    Verdict::Pass
-                } else {
-                    Verdict::Fail
-                }
-            }
-            Replayed::Divergent { .. } => Verdict::Diverged,
-        }
-    }
-
-    /// Tallies a consumed verdict for `set` and translates it for the
-    /// caller. The tally discipline mirrors the sequential path exactly:
-    /// one note per evaluation call that attempted replay — which is what
-    /// keeps the [`ReplaySummary`] bit-identical with batching off.
-    fn serve(&self, set: usize, verdict: Verdict) -> Served {
-        match verdict {
-            Verdict::Pass => {
-                self.note_outcome(set, false);
-                Served::Done(true)
-            }
-            Verdict::Fail => {
-                self.note_outcome(set, false);
-                Served::Done(false)
-            }
-            Verdict::Diverged => {
-                self.note_outcome(set, true);
-                Served::Diverged
-            }
-        }
-    }
-
-    /// The batched fast path for one `(set, candidate)` quality check.
-    ///
-    /// On a cache hit the stored verdict is served (paying down the
-    /// group's speculative-lane debt if the hit consumed a sibling-
-    /// computed extra lane). On a miss with the debt under
-    /// [`LANE_DEBT_LIMIT`], **all** currently-replayable lanes of `set`'s
-    /// same-shape group are evaluated in one [`Trace::replay_batch`] pass
-    /// and their verdicts cached; with the debt over the limit, only
-    /// `set`'s own lane is replayed (still cached — re-validations of the
-    /// same candidate stay free). Either way only `set`'s own verdict is
-    /// tallied now — each other member's is tallied when (and only when)
-    /// that member's own evaluation call consumes it, so per-set attempt
-    /// sequences (and the divergence latches they drive) evolve exactly
-    /// as without batching.
-    fn batched(
-        &self,
-        params: &SearchParams,
-        vars: &[VarSpec],
-        cand: &Candidate,
-        set: usize,
-    ) -> Served {
-        if !self.batch {
-            return Served::NoBatch;
-        }
-        let Some(gid) = self.group[set] else {
-            return Served::NoBatch;
-        };
-        if self.groups[gid].len() < 2 {
-            return Served::NoBatch;
-        }
-        // A latched set would not attempt replay sequentially; it must not
-        // consume (or compute) batched verdicts either.
-        if self.trace_for(set).is_none() {
-            return Served::NoBatch;
-        }
-        let key = cand_key(cand);
-        {
-            let mut cache = self.cache.lock().expect("verdict cache poisoned");
-            if let Some(slot) = cache.get_mut(&key).and_then(|entry| entry[set].as_mut()) {
-                let (verdict, extra) = *slot;
-                if extra {
-                    // A sibling's speculative lane paid off; credit the
-                    // consumed extra lane = one full sequential pass this
-                    // set did not have to run; credit it at full value so
-                    // a group whose hit rate stays above the marginal
-                    // lane cost keeps batching indefinitely.
-                    slot.1 = false;
-                    self.lane_debt[gid].fetch_sub(HIT_CREDIT, Ordering::Relaxed);
-                    tp_obs::counter_inc("tuner.speculation_hits");
-                }
-                drop(cache);
-                return self.serve(set, verdict);
-            }
-        }
-
-        let cfg = cand.config(params.type_system, vars);
-        let throttled = self.lane_debt[gid].load(Ordering::Relaxed) >= LANE_DEBT_LIMIT;
-        if throttled {
-            tp_obs::counter_inc("tuner.speculation_throttled");
-        }
-        let (members, results) = if throttled {
-            // Siblings have not been consuming their lanes: replay only
-            // the requesting set (one sequential tape pass), but keep
-            // caching so identical future requests still hit.
-            let trace = self.traces[set].as_ref().expect("grouped sets have tapes");
-            (vec![set], vec![trace.replay(&cfg)])
-        } else {
-            // One structure-of-arrays pass over every lane of the group
-            // that is currently allowed to replay and still searching (a
-            // done set's speculative lane would almost surely go unread).
-            let members: Vec<usize> = self.groups[gid]
-                .iter()
-                .copied()
-                .filter(|&s| {
-                    s == set
-                        || (!self.done[s].load(Ordering::Relaxed) && self.trace_for(s).is_some())
-                })
-                .collect();
-            if members.len() < 2 {
-                let trace = self.traces[set].as_ref().expect("grouped sets have tapes");
-                (vec![set], vec![trace.replay(&cfg)])
-            } else {
-                let lane_traces: Vec<&Trace> = members
-                    .iter()
-                    .map(|&s| self.traces[s].as_ref().expect("grouped sets have tapes"))
-                    .collect();
-                let results = Trace::replay_batch(&lane_traces, &cfg);
-                self.lane_debt[gid]
-                    .fetch_add((members.len() as i64 - 1) * LANE_COST, Ordering::Relaxed);
-                tp_obs::counter_add("tuner.speculation_lanes", members.len() as u64 - 1);
-                (members, results)
-            }
-        };
-
-        let mut own = None;
-        let mut entry: LaneVerdicts = vec![None; self.traces.len()];
-        for (&s, result) in members.iter().zip(&results) {
-            let verdict = self.verdict_of(s, result);
-            entry[s] = Some((verdict, s != set));
-            if s == set {
-                own = Some(verdict);
-            }
-        }
-        let mut cache = self.cache.lock().expect("verdict cache poisoned");
-        let slot = cache.entry(key).or_insert_with(|| vec![None; entry.len()]);
-        for (have, computed) in slot.iter_mut().zip(entry) {
-            if have.is_none() {
-                *have = computed;
-            }
-        }
-        drop(cache);
-        self.serve(set, own.expect("own set is always a member"))
     }
 
     /// Evaluates the narrow and wide hypotheses of one speculative probe
@@ -562,7 +296,7 @@ impl<'a> ReplayCtx<'a> {
     }
 }
 
-/// The verdict cache's candidate key: the `(precision, wide)` assignment,
+/// The verdict memo's candidate key: the `(precision, wide)` assignment,
 /// two bytes per variable (precision ≤ 24 fits a byte).
 fn cand_key(cand: &Candidate) -> Vec<u8> {
     let mut key = Vec::with_capacity(cand.precision.len() * 2);
@@ -598,13 +332,6 @@ pub struct SearchParams {
     /// Candidate evaluation strategy: live kernel runs, or record/replay
     /// with live fallback. Chosen formats are bit-identical either way.
     pub mode: TunerMode,
-    /// Batched replay ([`TunerMode::Replay`] only): evaluate all
-    /// same-shape input sets of a candidate in one structure-of-arrays
-    /// pass, and speculative hypothesis pairs in one multi-candidate pass.
-    /// Decision-transparent — formats, evaluation counts and the
-    /// [`ReplaySummary`] are bit-identical on or off — so it is excluded
-    /// from the store's `JobKey`, like `workers`.
-    pub batch: bool,
 }
 
 impl SearchParams {
@@ -620,7 +347,6 @@ impl SearchParams {
             passes: 2,
             workers: 0,
             mode: TunerMode::from_env(),
-            batch: replay_batch_from_env(),
         }
     }
 
@@ -638,10 +364,11 @@ impl SearchParams {
         self
     }
 
-    /// Builder-style override of the batched-replay switch.
+    /// A no-op: batched replay is gone, and the switch only remains so
+    /// existing callers keep compiling.
+    #[doc(hidden)]
     #[must_use]
-    pub fn with_batch(mut self, batch: bool) -> Self {
-        self.batch = batch;
+    pub fn with_batch(self, _batch: bool) -> Self {
         self
     }
 }
@@ -783,13 +510,17 @@ fn candidate_passes(
 /// Bit-identical to [`candidate_passes`] by the replay contract (a
 /// non-divergent replay reproduces the live outputs exactly), so the two
 /// paths are interchangeable decision-wise — which is what makes
-/// [`TunerMode`] invisible in the chosen formats.
+/// [`TunerMode`] invisible in the chosen formats. Every call that attempts
+/// replay notes exactly one outcome, memo hit or not, so the
+/// [`ReplaySummary`] and the divergence latch evolve as if every call had
+/// replayed.
 ///
-/// If the calling thread has a [`Recorder`] running, a successful replay's
-/// counts are absorbed (they equal the live run's counts — pinned by
-/// `tests/replay_equivalence.rs`) while a divergent replay's partial
-/// counts are discarded before the live fallback records the real thing:
-/// ops are counted exactly once either way.
+/// If the calling thread has a [`Recorder`] running, the memo is bypassed
+/// (the observed interpreter must drive real `Fx` ops per evaluation); a
+/// successful replay's counts are absorbed (they equal the live run's
+/// counts — pinned by `tests/replay_equivalence.rs`) while a divergent
+/// replay's partial counts are discarded before the live fallback records
+/// the real thing: ops are counted exactly once either way.
 fn eval_candidate(
     app: &dyn Tunable,
     params: &SearchParams,
@@ -797,39 +528,30 @@ fn eval_candidate(
     cand: &Candidate,
     reference: &[f64],
     set: usize,
-    replay: &ReplayCtx<'_>,
+    replay: &ReplayCtx,
 ) -> bool {
-    // Batched fast path: serve this set's verdict from (or compute into)
-    // the group verdict cache. Skipped when the thread records — the
-    // observed interpreter must drive real Fx ops per evaluation.
-    if !Recorder::is_enabled() {
-        match replay.batched(params, vars, cand, set) {
-            Served::Done(passes) => return passes,
-            Served::Diverged => return candidate_passes(app, params, vars, cand, reference, set),
-            Served::NoBatch => {}
+    let Some(trace) = replay.trace_for(set) else {
+        return candidate_passes(app, params, vars, cand, reference, set);
+    };
+    let run = || trace.replay(&cand.config(params.type_system, vars));
+    let verdict = if Recorder::is_enabled() {
+        let (replayed, counts) = Recorder::scoped(run);
+        let verdict = Verdict::of(&replayed, reference, params.threshold);
+        if verdict != Verdict::Diverged {
+            Recorder::absorb(&counts);
         }
+        verdict
+    } else {
+        replay.memoized(set, cand, || {
+            Verdict::of(&run(), reference, params.threshold)
+        })
+    };
+    replay.note_outcome(set, verdict == Verdict::Diverged);
+    match verdict {
+        Verdict::Pass => true,
+        Verdict::Fail => false,
+        Verdict::Diverged => candidate_passes(app, params, vars, cand, reference, set),
     }
-    if let Some(trace) = replay.trace_for(set) {
-        let cfg = cand.config(params.type_system, vars);
-        let replayed = if Recorder::is_enabled() {
-            let (replayed, counts) = Recorder::scoped(|| trace.replay(&cfg));
-            let out = replayed.output();
-            if out.is_some() {
-                Recorder::absorb(&counts);
-            }
-            out
-        } else {
-            trace.replay(&cfg).output()
-        };
-        match replayed {
-            Some(out) => {
-                replay.note_outcome(set, false);
-                return relative_rms_error(reference, &out) <= params.threshold;
-            }
-            None => replay.note_outcome(set, true),
-        }
-    }
-    candidate_passes(app, params, vars, cand, reference, set)
 }
 
 /// Internal mutable search state for one `(application, input set)` pair.
@@ -845,7 +567,7 @@ struct SearchState<'a> {
     speculate: bool,
     /// Per-input-set tapes + divergence latches for replay-first
     /// evaluation (all-`None` in [`TunerMode::Live`]).
-    replay: &'a ReplayCtx<'a>,
+    replay: &'a ReplayCtx,
 }
 
 impl<'a> SearchState<'a> {
@@ -882,9 +604,8 @@ impl<'a> SearchState<'a> {
             wide.wide[i] = true;
             let (app, params, vars) = (self.app, self.params, self.vars);
             let replay = self.replay;
-            let batch_pair =
-                replay.batch && !Recorder::is_enabled() && replay.trace_for(set).is_some();
-            let (narrow_ok, wide_ok) = if batch_pair {
+            let shared_prefix = !Recorder::is_enabled() && replay.trace_for(set).is_some();
+            let (narrow_ok, wide_ok) = if shared_prefix {
                 // Both hypotheses always get evaluated on this branch, so
                 // a shared-prefix multi-candidate pass over the tape is a
                 // strict win over two threads replaying it in full.
@@ -1002,7 +723,7 @@ fn tune_one_set(
     order: &[usize],
     set: usize,
     speculate: bool,
-    replay: &ReplayCtx<'_>,
+    replay: &ReplayCtx,
     reference: &[f64],
 ) -> (Candidate, u64) {
     let mut st = SearchState {
@@ -1062,9 +783,8 @@ pub fn distributed_search(app: &dyn Tunable, params: SearchParams) -> TuningOutc
 
     // Golden outputs, one per input set, computed once and shared by both
     // phases (implementations are deterministic by the `Tunable` contract,
-    // so re-deriving them per phase was pure waste). Computed before the
-    // replay context, which borrows them to grade batched lanes. Under an
-    // enclosing Recorder each reference run is scoped on its worker and
+    // so re-deriving them per phase was pure waste). Under an enclosing
+    // Recorder each reference run is scoped on its worker and
     // absorbed in set order, exactly like the phase-1 fan-out below, so
     // recorded totals stay worker-count invariant.
     let recording = Recorder::is_enabled();
@@ -1099,15 +819,12 @@ pub fn distributed_search(app: &dyn Tunable, params: SearchParams) -> TuningOutc
     let replay = {
         let _span = tp_obs::Span::enter("tuner.phase_record_ns");
         match params.mode {
-            TunerMode::Live => ReplayCtx::live(app.name(), params.input_sets, &references),
+            TunerMode::Live => ReplayCtx::new(app.name(), vec![None; params.input_sets]),
             TunerMode::Replay => ReplayCtx::new(
                 app.name(),
                 pool::parallel_map(workers.min(params.input_sets), params.input_sets, |set| {
                     Trace::record(&vars, |cfg| app.run(cfg, set)).ok()
                 }),
-                &references,
-                params.threshold,
-                params.batch,
             ),
         }
     };
@@ -1134,7 +851,6 @@ pub fn distributed_search(app: &dyn Tunable, params: SearchParams) -> TuningOutc
                         &references[set],
                     )
                 });
-                replay.mark_done(set);
                 (cand, evals, Some(counts))
             } else {
                 let (cand, evals) = tune_one_set(
@@ -1147,7 +863,6 @@ pub fn distributed_search(app: &dyn Tunable, params: SearchParams) -> TuningOutc
                     &replay,
                     &references[set],
                 );
-                replay.mark_done(set);
                 (cand, evals, None)
             }
         });
@@ -1443,6 +1158,24 @@ mod tests {
             assert_eq!(replay.replay.traces, 2);
             assert!(replay.replay.replayed > 0, "{:?}", replay.replay);
             assert_eq!(replay.replay.diverged, 0, "TwoVars is straight-line");
+        }
+    }
+
+    /// Memo hits are tallied like replays: on a straight-line kernel every
+    /// evaluation is served from a tape, so the replay count equals the
+    /// evaluation count — with and without speculative probes.
+    #[test]
+    fn memo_hits_are_tallied_as_replays() {
+        for workers in [1usize, 8] {
+            let params = SearchParams::paper(1e-3)
+                .with_workers(workers)
+                .with_mode(TunerMode::Replay);
+            let outcome = distributed_search(&TwoVars, params);
+            assert_eq!(
+                outcome.replay.replayed, outcome.evaluations,
+                "workers={workers}"
+            );
+            assert_eq!(outcome.replay.diverged, 0, "workers={workers}");
         }
     }
 

@@ -161,11 +161,7 @@ proptest! {
 }
 
 /// Layer 2, the acceptance matrix: Replay ≡ Live in chosen formats (and
-/// evaluation counts) for every kernel × backend × worker count — and
-/// batched replay ≡ sequential replay in the *entire* outcome, replay
-/// summary included, over the same matrix. One batched structure-of-arrays
-/// pass over a kernel's input-set tapes must be observationally equal to
-/// replaying each set on its own.
+/// evaluation counts) for every kernel × backend × worker count.
 #[test]
 fn replay_mode_chooses_identical_formats_across_backends_and_workers() {
     for app in all_kernels_small() {
@@ -182,31 +178,16 @@ fn replay_mode_chooses_identical_formats_across_backends_and_workers() {
                 let params = SearchParams::paper(1e-1)
                     .with_workers(workers)
                     .with_mode(TunerMode::Replay);
-                let batched =
-                    Engine::with(backend, || distributed_search(app, params.with_batch(true)));
-                let backend = tp_bench::backend_by_name(backend_name).expect(backend_name);
-                let sequential = Engine::with(backend, || {
-                    distributed_search(app, params.with_batch(false))
-                });
-                for replay in [&batched, &sequential] {
-                    assert_eq!(
-                        fingerprint(&live),
-                        fingerprint(replay),
-                        "{}: backend={backend_name} workers={workers}",
-                        app.name()
-                    );
-                    assert_eq!(
-                        live.eval_config(),
-                        replay.eval_config(),
-                        "{}: backend={backend_name} workers={workers}",
-                        app.name()
-                    );
-                }
-                // Batching must be invisible end to end: same formats,
-                // same evaluation count, same replayed/diverged tallies.
+                let replay = Engine::with(backend, || distributed_search(app, params));
                 assert_eq!(
-                    batched,
-                    sequential,
+                    fingerprint(&live),
+                    fingerprint(&replay),
+                    "{}: backend={backend_name} workers={workers}",
+                    app.name()
+                );
+                assert_eq!(
+                    live.eval_config(),
+                    replay.eval_config(),
                     "{}: backend={backend_name} workers={workers}",
                     app.name()
                 );
@@ -215,8 +196,8 @@ fn replay_mode_chooses_identical_formats_across_backends_and_workers() {
     }
 }
 
-/// Satellite matrix: within one batched pass, per-set divergence is exact.
-/// A batch where one input set's recorded comparison flips (and the others
+/// Satellite matrix: per-set divergence is exact across a group of tapes.
+/// A group where one input set's recorded comparison flips (and the others
 /// complete) must produce, set for set, the same outcomes — including the
 /// divergence site — as sequential replay.
 #[test]
