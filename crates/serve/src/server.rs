@@ -225,11 +225,11 @@ struct Core {
     resolver: KernelResolver,
     /// Per-job tuner-worker budget (the `evaluate_suite`-style split).
     workers_per_job: usize,
-    /// Clones of every accepted stream, so shutdown can unblock handler
-    /// threads parked in a read on an idle connection. Bounded by the
-    /// number of connections a run ever accepts (pruning is not worth it
-    /// at service-smoke scale).
-    conns: Mutex<Vec<TcpStream>>,
+    /// A clone of every open connection's stream, keyed by connection id,
+    /// so shutdown can unblock handler threads parked in a read on an idle
+    /// connection. A handler removes its entry when it returns, so the map
+    /// holds one descriptor per *open* connection.
+    conns: Mutex<HashMap<u64, TcpStream>>,
 }
 
 impl Core {
@@ -516,7 +516,7 @@ impl Server {
                 store: config.store,
                 resolver: config.resolver,
                 workers_per_job,
-                conns: Mutex::new(Vec::new()),
+                conns: Mutex::new(HashMap::new()),
             }),
             concurrency,
         })
@@ -538,24 +538,26 @@ impl Server {
             for _ in 0..self.concurrency {
                 scope.spawn(|| core.worker_loop());
             }
-            for stream in self.listener.incoming() {
+            for (id, stream) in (0u64..).zip(self.listener.incoming()) {
                 if core.stop.load(Ordering::SeqCst) {
                     break;
                 }
-                match stream {
-                    Ok(stream) => {
-                        if let Ok(clone) = stream.try_clone() {
-                            core.conns.lock().expect("conns poisoned").push(clone);
-                        }
-                        scope.spawn(|| handle_connection(core, stream));
-                    }
-                    Err(_) => continue,
+                let Ok(stream) = stream.inspect_err(|_| tp_obs::counter_inc("serve.accept_errors"))
+                else {
+                    continue;
+                };
+                if let Ok(clone) = stream.try_clone() {
+                    core.conns.lock().expect("conns poisoned").insert(id, clone);
                 }
+                scope.spawn(move || {
+                    handle_connection(core, stream);
+                    core.conns.lock().expect("conns poisoned").remove(&id);
+                });
             }
             // Unblock every handler still parked in a read on an idle
             // connection, so the scope join below cannot hang on a client
             // that never says goodbye.
-            for conn in core.conns.lock().expect("conns poisoned").drain(..) {
+            for (_, conn) in core.conns.lock().expect("conns poisoned").drain() {
                 let _ = conn.shutdown(std::net::Shutdown::Both);
             }
         });

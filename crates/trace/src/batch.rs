@@ -4,13 +4,11 @@
 //!   configuration — plain per-trace [`Trace::replay`], kept as a
 //!   convenience for callers that hold a group of tapes.
 //! * [`Trace::replay_candidates`]: several candidate configurations in
-//!   one call. The format-slot tables are resolved up front and diffed;
-//!   every tape entry before the first reference to a *differing* slot
-//!   computes bit-identically under every candidate (all slots it can
-//!   touch resolve equally, so every promotion/cast table cell it
-//!   consults is equal), so that prefix runs once on the raw interpreter
-//!   ([`Trace::run_raw`]) and its state is forked per candidate at the
-//!   first difference.
+//!   one call. The dispatch cells are resolved up front and diffed; every
+//!   raw entry before the first one whose cell resolves *differently*
+//!   computes bit-identically under every candidate, so that prefix runs
+//!   once on the raw interpreter ([`Trace::run_raw`]) and its state is
+//!   forked per candidate at the first difference.
 //!
 //! Both fall back to per-trace [`Trace::replay`] whenever the thread is
 //! observed (a recorder or installed backend must see every event in
@@ -19,7 +17,7 @@
 use flexfloat::{Engine, Recorder, TypeConfig};
 
 use crate::replay::{Regs, Replayed, Spare, Tables};
-use crate::tape::{Tag, Trace};
+use crate::tape::Trace;
 
 impl Trace {
     /// Replays every trace in `traces` under `config`, returning one
@@ -31,8 +29,8 @@ impl Trace {
 
     /// Replays `self` under every configuration in `configs` in one call,
     /// returning one [`Replayed`] per configuration, in order. The shared
-    /// tape prefix — every entry before the first reference to a format
-    /// slot on which the configurations disagree — is executed once; the
+    /// tape prefix — every entry before the first one whose dispatch cell
+    /// the configurations resolve differently — is executed once; the
     /// interpreter forks per candidate only for the suffix. Each result is
     /// bit-identical to `self.replay(configs[i])`.
     #[must_use]
@@ -51,38 +49,22 @@ impl Trace {
             tables.push(t);
         }
 
-        // A slot "differs" when any candidate resolves it to another
-        // format than candidate 0 does.
-        let n = tables[0].n();
-        let differs: Vec<bool> = (0..n)
-            .map(|s| {
-                let f0 = tables[0].fmts[s];
-                tables[1..].iter().any(|t| t.fmts[s] != f0)
+        // A cell "differs" when any candidate resolves it otherwise than
+        // candidate 0 does. The prefix ends at the first entry that
+        // consults a differing cell: every entry before it computes with
+        // equal cells on equal inputs (entries without a cell are
+        // format-independent), so its state is bit-identical under every
+        // candidate — safe to share.
+        let differs: Vec<bool> = (0..self.cells.len())
+            .map(|c| {
+                let c0 = tables[0].cells[c];
+                tables[1..].iter().any(|t| t.cells[c] != c0)
             })
             .collect();
-
-        // The prefix ends at the first entry that *introduces* a value or
-        // array under a differing slot. Inductively every slot reachable
-        // inside the prefix is non-differing, so every promotion/cast cell
-        // the prefix consults is equal across candidates and its value
-        // columns are bit-identical — safe to share.
         let prefix_end = self
             .raw_ops
             .iter()
-            .position(|p| {
-                let introduces_slot = matches!(
-                    p.tag,
-                    Tag::Leaf
-                        | Tag::ArrayNew
-                        | Tag::ArrayZeros
-                        | Tag::Cast
-                        | Tag::AddCast
-                        | Tag::SubCast
-                        | Tag::MulCast
-                        | Tag::DivCast
-                );
-                introduces_slot && differs[usize::from(p.fmt)]
-            })
+            .position(|p| p.cell().is_some_and(|c| differs[c]))
             .unwrap_or(self.raw_ops.len());
 
         // Forked states own their buffers, so nothing is recycled here.
@@ -90,7 +72,7 @@ impl Trace {
         let mut shared = Regs::default();
         shared.reset(self, &mut spare);
         if let Some(at) = self.run_raw(&tables[0], &mut shared, &mut spare, 0, prefix_end) {
-            // The prefix consults only equal table cells, so a prefix
+            // The prefix consults only equal cells, so a prefix
             // divergence is every candidate's divergence.
             return vec![Replayed::Divergent { at }; configs.len()];
         }

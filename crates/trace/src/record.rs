@@ -3,6 +3,7 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -12,7 +13,9 @@ use flexfloat::{
 };
 use tp_formats::{FpFormat, BINARY32};
 
-use crate::tape::{FmtRef, OutputPlan, Packed, Tag, Trace};
+use crate::tape::{
+    CellKey, FmtRef, OutputPlan, Packed, Tag, Trace, MAX_CELLS, MAX_SLOTS, OUTCOME_BIT,
+};
 
 /// Why a run could not be captured as a replayable trace.
 ///
@@ -37,6 +40,16 @@ pub enum RecordError {
     /// with the returned outputs (reordered, transformed or partial), so
     /// replay could not reconstruct the output vector.
     OutputsNotReplayable,
+    /// The tape needs more of something than the raw view's packed
+    /// encoding holds: format slots (a slot set is a 128-bit mask) or
+    /// dispatch cells (a cell index must fit below a comparison's outcome
+    /// bit).
+    EncodingLimit {
+        /// What ran out.
+        what: &'static str,
+        /// How many the encoding holds.
+        max: usize,
+    },
 }
 
 impl fmt::Display for RecordError {
@@ -52,30 +65,14 @@ impl fmt::Display for RecordError {
             RecordError::OutputsNotReplayable => {
                 f.write_str("escape taps do not reconstruct the output vector")
             }
+            RecordError::EncodingLimit { what, max } => {
+                write!(f, "the tape needs more than {max} {what}")
+            }
         }
     }
 }
 
 impl std::error::Error for RecordError {}
-
-/// `true` when a (full-tape) entry allocates a new [`ValueId`].
-fn produces_value(tag: Tag) -> bool {
-    matches!(
-        tag,
-        Tag::Leaf
-            | Tag::Load
-            | Tag::Cast
-            | Tag::Add
-            | Tag::Sub
-            | Tag::Mul
-            | Tag::Div
-            | Tag::Sqrt
-            | Tag::Min
-            | Tag::Max
-            | Tag::Neg
-            | Tag::Abs
-    )
-}
 
 /// The distinguishing-format pool for recording configurations.
 ///
@@ -200,6 +197,245 @@ impl RecState {
         let id = self.next_array;
         self.next_array += 1;
         id
+    }
+}
+
+/// A one-multiply hasher for the `u64` keys the raw-view pass interns;
+/// SipHash's cost per lookup would be a visible share of recording.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0 ^ x).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn finish(&self) -> u64 {
+        // A product's low bits depend only on the key's low bits, and the
+        // map buckets by the low bits: rotate the well-mixed high bits
+        // down.
+        self.0.rotate_left(26)
+    }
+}
+
+type KeyMap<K> = HashMap<K, u16, BuildHasherDefault<KeyHasher>>;
+
+/// The raw interpreter's view of a tape, built in one pass over the full
+/// tape by [`RawView::build`].
+///
+/// Statistics-only entries are stripped (nothing observes them there), and
+/// every `Cast` whose operand is the `Bin` result produced by the
+/// immediately preceding raw entry is fused into one `AddCast..DivCast`
+/// entry — the dominant accumulate-then-round idiom
+/// (`(acc + x*w).to(acc_fmt)`) costs one entry less per op. Comparison
+/// indices are mapped back to the full tape through `cmp_sites`.
+///
+/// The same pass gives every value its slot set and interns each distinct
+/// [`CellKey`] an entry consults, writing the cell index into the entry's
+/// `fmt` field (see [`Packed`]).
+struct RawView {
+    ops: Vec<Packed>,
+    cmp_sites: Vec<u32>,
+    sets: Vec<u128>,
+    cells: Vec<CellKey>,
+}
+
+/// The slot-set and cell interner behind [`RawView::build`].
+struct CellTable {
+    sets: Vec<u128>,
+    cells: Vec<CellKey>,
+    set_index: KeyMap<u128>,
+    /// Packed [`CellKey`] -> cell index.
+    cell_index: KeyMap<u64>,
+    /// A promotion cell's result set, memoized (`u16::MAX` until first
+    /// use, and for every other kind of cell).
+    unions: Vec<u16>,
+    /// Set once the tape needs more cells than the encoding holds.
+    overflow: bool,
+}
+
+impl RawView {
+    fn build(tape: &[Packed], slots: usize, comparisons: u32) -> Result<RawView, RecordError> {
+        if slots > MAX_SLOTS {
+            return Err(RecordError::EncodingLimit {
+                what: "format slots",
+                max: MAX_SLOTS,
+            });
+        }
+        // Set `i` is the one-slot set `{i}`, so a slot index is its own
+        // set id.
+        let sets: Vec<u128> = (0..slots).map(|i| 1u128 << i).collect();
+        let set_index = sets.iter().zip(0u16..).map(|(&m, i)| (m, i)).collect();
+        let mut table = CellTable {
+            sets,
+            cells: Vec::new(),
+            set_index,
+            cell_index: KeyMap::default(),
+            unions: Vec::new(),
+            overflow: false,
+        };
+        let mut ops: Vec<Packed> = Vec::with_capacity(tape.len());
+        let mut cmp_sites: Vec<u32> = Vec::with_capacity(comparisons as usize);
+        // Slot set of every value and array id so far (index 0 is the
+        // dummy id).
+        let mut vset: Vec<u16> = Vec::with_capacity(tape.len() + 1);
+        vset.push(0);
+        let mut aset: Vec<u16> = vec![0];
+        for (i, p) in tape.iter().enumerate() {
+            let mut raw = *p;
+            let (a, b) = (p.a as usize, p.b as usize);
+            match p.tag {
+                Tag::IntOps | Tag::VectorEnter | Tag::VectorExit => continue,
+                Tag::Leaf => {
+                    raw.fmt = table.cell(CellKey::Format(p.fmt));
+                    vset.push(p.fmt);
+                }
+                Tag::ArrayNew => {
+                    raw.fmt = table.cell(CellKey::Format(p.fmt));
+                    aset.push(p.fmt);
+                }
+                Tag::ArrayZeros => {
+                    raw.fmt = 0;
+                    aset.push(p.fmt);
+                }
+                Tag::ArrayDup => aset.push(aset[usize::from(p.fmt)]),
+                Tag::Load => vset.push(aset[usize::from(p.fmt)]),
+                Tag::Store => {
+                    raw.fmt = table.cell(CellKey::Store {
+                        arr: p.fmt,
+                        dst: aset[usize::from(p.fmt)],
+                        src: vset[b],
+                    });
+                }
+                Tag::Cast => {
+                    // Fusable when the operand is the value the previous
+                    // raw entry produced and that entry is a plain bin.
+                    let fused = match ops.last() {
+                        Some(prev) if a + 1 == vset.len() => match prev.tag {
+                            Tag::Add => Some(Tag::AddCast),
+                            Tag::Sub => Some(Tag::SubCast),
+                            Tag::Mul => Some(Tag::MulCast),
+                            Tag::Div => Some(Tag::DivCast),
+                            _ => None,
+                        },
+                        _ => None,
+                    };
+                    let src = vset[a];
+                    vset.push(p.fmt);
+                    if let Some(tag) = fused {
+                        let prev = *ops.last().expect("fused onto an entry");
+                        let key =
+                            CellKey::BinCast(vset[prev.a as usize], vset[prev.b as usize], p.fmt);
+                        let cell = table.cell(key);
+                        let prev = ops.last_mut().expect("fused onto an entry");
+                        prev.tag = tag;
+                        prev.fmt = cell;
+                        continue;
+                    }
+                    raw.fmt = table.cell(CellKey::Cast { dst: p.fmt, src });
+                }
+                Tag::Add | Tag::Sub | Tag::Mul | Tag::Div | Tag::Min | Tag::Max => {
+                    let (sa, sb) = (vset[a], vset[b]);
+                    raw.fmt = table.cell(CellKey::Promote(sa, sb));
+                    vset.push(table.union(raw.fmt, sa, sb));
+                }
+                Tag::CmpLt | Tag::CmpLe => {
+                    cmp_sites.push(u32::try_from(i).expect("tape indices fit u32"));
+                    let outcome = if p.fmt != 0 { OUTCOME_BIT } else { 0 };
+                    raw.fmt = table.cell(CellKey::Promote(vset[a], vset[b])) | outcome;
+                }
+                Tag::Sqrt => {
+                    raw.fmt = table.cell(CellKey::Format(vset[a]));
+                    vset.push(vset[a]);
+                }
+                Tag::Neg | Tag::Abs => vset.push(vset[a]),
+                Tag::Extract | Tag::ExtractArray | Tag::ExtractElement => {}
+                Tag::AddCast | Tag::SubCast | Tag::MulCast | Tag::DivCast => {
+                    unreachable!("fused tags only exist on the raw view")
+                }
+            }
+            ops.push(raw);
+        }
+        if table.overflow {
+            return Err(RecordError::EncodingLimit {
+                what: "dispatch cells",
+                max: MAX_CELLS,
+            });
+        }
+        Ok(RawView {
+            ops,
+            cmp_sites,
+            sets: table.sets,
+            cells: table.cells,
+        })
+    }
+}
+
+impl CellTable {
+    /// Interns a dispatch cell, returning its index (`0` once the table
+    /// has overflowed; [`RawView::build`] then fails). Inlined so that
+    /// packing a key of a known kind folds to a few shifts; only a new
+    /// cell leaves the pass.
+    #[inline(always)]
+    fn cell(&mut self, key: CellKey) -> u16 {
+        let packed = key.packed();
+        match self.cell_index.get(&packed) {
+            Some(&i) => i,
+            None => self.intern(key, packed),
+        }
+    }
+
+    /// [`CellTable::cell`] for a key seen for the first time.
+    #[inline(never)]
+    fn intern(&mut self, key: CellKey, packed: u64) -> u16 {
+        if self.cells.len() == MAX_CELLS {
+            self.overflow = true;
+            return 0;
+        }
+        let i = u16::try_from(self.cells.len()).expect("MAX_CELLS fits u16");
+        self.cells.push(key);
+        self.cell_index.insert(packed, i);
+        self.unions.push(u16::MAX);
+        i
+    }
+
+    /// The result set of promotion cell `cell`, whose operand sets are
+    /// `sa` and `sb`: their union, interned.
+    #[inline(always)]
+    fn union(&mut self, cell: u16, sa: u16, sb: u16) -> u16 {
+        match self.unions.get(usize::from(cell)) {
+            Some(&memo) if memo != u16::MAX => memo,
+            _ => self.intern_union(cell, sa, sb),
+        }
+    }
+
+    /// [`CellTable::union`] on a promotion cell's first use.
+    #[inline(never)]
+    fn intern_union(&mut self, cell: u16, sa: u16, sb: u16) -> u16 {
+        if self.overflow {
+            return 0;
+        }
+        let mask = self.sets[usize::from(sa)] | self.sets[usize::from(sb)];
+        let i = match self.set_index.get(&mask) {
+            Some(&i) => i,
+            None => {
+                // Every new union comes with a new promotion cell, so the
+                // set count stays below `MAX_SLOTS + MAX_CELLS`, which
+                // fits a u16.
+                let i = u16::try_from(self.sets.len()).expect("sets are bounded by cells");
+                self.sets.push(mask);
+                self.set_index.insert(mask, i);
+                i
+            }
+        };
+        self.unions[usize::from(cell)] = i;
+        i
     }
 }
 
@@ -527,9 +763,10 @@ impl Trace {
     ///
     /// Returns a [`RecordError`] when the run is outside the recording
     /// contract (DESIGN.md §7): more variables than distinguishing formats,
-    /// values flowing in from outside the recorded region, or escaped
-    /// values that do not reconstruct the output vector. Callers treat any
-    /// error as "keep evaluating live".
+    /// values flowing in from outside the recorded region, escaped values
+    /// that do not reconstruct the output vector, or a tape past the raw
+    /// view's encoding limits. Callers treat any error as "keep evaluating
+    /// live".
     pub fn record(
         vars: &[VarSpec],
         run: impl FnOnce(&TypeConfig) -> Vec<f64>,
@@ -621,63 +858,15 @@ impl Trace {
             return Err(RecordError::OutputsNotReplayable);
         };
 
-        // The raw interpreter's view: statistics-only entries stripped
-        // (nothing observes them there) and every `Cast` whose operand is
-        // the `Bin` result produced by the immediately preceding raw entry
-        // fused into one `AddCast..DivCast` entry — the dominant
-        // accumulate-then-round idiom (`(acc + x*w).to(acc_fmt)`) costs one
-        // entry less per op. Comparison indices are mapped back to the
-        // full tape through `cmp_sites`.
-        let mut raw_ops: Vec<Packed> = Vec::with_capacity(state.ops.len());
-        let mut cmp_sites: Vec<u32> = Vec::with_capacity(state.comparisons as usize);
-        let mut next_value: ValueId = 1;
-        for (i, p) in state.ops.iter().enumerate() {
-            match p.tag {
-                Tag::IntOps | Tag::VectorEnter | Tag::VectorExit => continue,
-                Tag::CmpLt | Tag::CmpLe => {
-                    cmp_sites.push(u32::try_from(i).expect("tape indices fit u32"));
-                    raw_ops.push(*p);
-                    continue;
-                }
-                Tag::Cast => {
-                    // `next_value` is the id this cast will produce; its
-                    // operand is fusable when it is the value produced by
-                    // the previous raw entry and that entry is a plain bin.
-                    if p.a + 1 == next_value {
-                        if let Some(prev) = raw_ops.last_mut() {
-                            let fused = match prev.tag {
-                                Tag::Add => Some(Tag::AddCast),
-                                Tag::Sub => Some(Tag::SubCast),
-                                Tag::Mul => Some(Tag::MulCast),
-                                Tag::Div => Some(Tag::DivCast),
-                                _ => None,
-                            };
-                            if let Some(tag) = fused {
-                                prev.tag = tag;
-                                prev.fmt = p.fmt;
-                                next_value += 1;
-                                continue;
-                            }
-                        }
-                    }
-                    raw_ops.push(*p);
-                    next_value += 1;
-                    continue;
-                }
-                _ => {}
-            }
-            raw_ops.push(*p);
-            if produces_value(p.tag) {
-                next_value += 1;
-            }
-        }
-
+        let raw = RawView::build(&state.ops, state.fmt_slots.len(), state.comparisons)?;
         Ok(Trace {
             ops: state.ops,
-            raw_ops,
-            cmp_sites,
+            raw_ops: raw.ops,
+            cmp_sites: raw.cmp_sites,
             pool: state.pool,
             fmt_slots: state.fmt_slots,
+            sets: raw.sets,
+            cells: raw.cells,
             n_values: state.next_value - 1,
             n_arrays: state.next_array - 1,
             var_names,

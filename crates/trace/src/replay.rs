@@ -4,11 +4,11 @@
 //!
 //! * [`Trace::replay`] picks the **raw** interpreter when nothing is
 //!   observing the thread (no [`Recorder`], no installed backend): values
-//!   are plain `(f64, format)` pairs and every operation inlines the
-//!   emulated datapath ([`Emulated`]) directly — the same arithmetic the
-//!   uninstalled `Fx` fast path executes, minus the per-op thread-local
-//!   checks and statistics bookkeeping. This is what makes a replayed
-//!   candidate evaluation cheaper than a live kernel run.
+//!   are plain `f64`s and every operation inlines the emulated datapath
+//!   ([`Emulated`]) directly — the same arithmetic the uninstalled `Fx`
+//!   fast path executes, minus the per-op thread-local checks and
+//!   statistics bookkeeping. This is what makes a replayed candidate
+//!   evaluation cheaper than a live kernel run.
 //! * When a `Recorder` is running or a backend is installed, replay drives
 //!   the real [`Fx`]/[`FxArray`] API instead, so recorded statistics and
 //!   backend dispatch are exact by construction.
@@ -16,6 +16,13 @@
 //! Both interpreters are bit-identical in outputs and divergence decisions
 //! (`raw_path_matches_fx_path` below, and the kernel-level proptests in
 //! `tests/replay_equivalence.rs`, pin this).
+//!
+//! The raw interpreter tracks no format per value. Which formats an entry
+//! computes in is a static fact of the tape: recording gives every value
+//! a set of format slots and interns each distinct combination an entry
+//! consults as a dispatch cell ([`CellKey`]). A replay resolves the
+//! trace's cells against the candidate configuration once ([`Tables`],
+//! O(cells)), and each raw entry reads its cell, `tables.cells[fmt]`.
 //!
 //! The raw loop ([`Trace::run_raw`]) runs any tape range `[start, end)`
 //! on a [`Regs`] state, so [`Trace::replay_candidates`] (in
@@ -28,158 +35,168 @@ use flexfloat::backend::Emulated;
 use flexfloat::{BinOp, Engine, FpBackend, Fx, FxArray, Recorder, TypeConfig, VectorSection};
 use tp_formats::{FpFormat, BINARY32};
 
-use crate::tape::{FmtRef, OutputPlan, Packed, Tag, Trace};
+use crate::tape::{CellKey, FmtRef, OutputPlan, Packed, Tag, Trace, OUTCOME_BIT};
 
-/// One cell of the per-replay promotion table: what `Fx::promote` decides
-/// for a pair of value format-slots under the current configuration —
-/// computed once per replay (slots × slots is tiny), read once per
-/// arithmetic entry. The resolved result format rides in the cell so the
-/// hot loop never chases `fmts[result]` separately.
-#[derive(Clone, Copy)]
-pub(crate) struct Promo {
-    /// Format slot of the promoted result.
-    pub(crate) result: u16,
-    /// Resolved format of `result` (== `Tables::fmt(result)`).
-    pub(crate) fmt: FpFormat,
-    /// Left operand must be re-rounded into the result format.
-    pub(crate) san_a: bool,
-    /// Right operand must be re-rounded into the result format.
-    pub(crate) san_b: bool,
-}
-
-/// One cell of the cast dispatch table, keyed on an interned
-/// `(destination-slot, source-slot)` format pair: everything the `Cast`,
-/// `Store` and fused `Bin`+`Cast` paths need to round a value into its
-/// destination, resolved once per replay.
-#[derive(Clone, Copy)]
-pub(crate) struct CastSpec {
+/// A dispatch cell ([`CellKey`]) resolved against one candidate
+/// configuration: everything a raw-view entry needs to know about formats.
+/// The fields split in two halves. `fmt`/`san_a`/`san_b` describe the
+/// computation — the format it runs in and which operand the promotion
+/// re-rounds — and `dst`/`exact` describe a rounding into a destination.
+/// A cell fills only the fields its key needs.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Cell {
+    /// The format the entry computes in: a leaf's or array's format, the
+    /// promoted operand format, or a square root's operand format.
+    fmt: FpFormat,
+    /// The left operand must be re-rounded into `fmt`.
+    san_a: bool,
+    /// The right operand must be re-rounded into `fmt`.
+    san_b: bool,
+    /// Destination of a cast or store.
+    dst: FpFormat,
     /// The destination is a superset of the source, so the re-rounding is
     /// an identity on in-grid values and is skipped.
-    pub(crate) exact: bool,
-    /// Resolved destination format.
-    pub(crate) fmt: FpFormat,
+    exact: bool,
+    /// Destination array of a store.
+    arr: u16,
 }
 
-/// The per-replay dispatch tables of the raw interpreter: the format-slot
-/// table resolved against one candidate configuration, plus the
-/// `slots × slots` promotion and cast tables derived from it. Rebuilt once
-/// per replay (`O(slots²)`, slots are few), read once per tape entry.
+impl Cell {
+    const EMPTY: Cell = Cell {
+        fmt: BINARY32,
+        san_a: false,
+        san_b: false,
+        dst: BINARY32,
+        exact: true,
+        arr: 0,
+    };
+
+    /// Resolves `key` given the resolved format of every slot set.
+    ///
+    /// The promotion rule here is **provably equivalent to `Fx::promote`**:
+    /// both pick the winner by the lexicographic key `(man_bits,
+    /// exp_bits)`. An [`FpFormat`] is fully determined by `(exp_bits,
+    /// man_bits)`, so equal keys imply *the same format* — and for the
+    /// mixed pairs where one side has the wider mantissa but the narrower
+    /// exponent (binary16 vs binary16alt), both rules pick the wider
+    /// mantissa and saturate the loser's out-of-range values through the
+    /// sanitize, exactly like the `convert` that `Fx::promote` inserts.
+    /// The only liberty taken is skipping the sanitize when the winner is
+    /// a *superset* of the loser (identity on in-grid values). Because the
+    /// winner is a maximum under a total order, promoting a chain resolves
+    /// to the widest format of the chain's slot set, which is how the
+    /// record-time set rule ([`CellKey`]) reaches the same format.
+    /// `promotion_parity_with_fx_promote` and
+    /// `promotion_chains_match_fx_promote` below pin the equivalence.
+    fn resolve(key: CellKey, set_fmts: &[FpFormat]) -> Cell {
+        let set = |s: u16| set_fmts[usize::from(s)];
+        let promote = |sa: u16, sb: u16| {
+            let (fa, fb) = (set(sa), set(sb));
+            if (fa.man_bits(), fa.exp_bits()) >= (fb.man_bits(), fb.exp_bits()) {
+                Cell {
+                    fmt: fa,
+                    san_b: !fa.is_superset_of(fb),
+                    ..Cell::EMPTY
+                }
+            } else {
+                Cell {
+                    fmt: fb,
+                    san_a: !fb.is_superset_of(fa),
+                    ..Cell::EMPTY
+                }
+            }
+        };
+        // Re-rounding into a superset format is an identity on in-grid
+        // values — skipping it is the one sanitize the interpreter can
+        // prove away that the generic Fx path pays unconditionally.
+        let round = |cell: Cell, dst: FpFormat, src: FpFormat| Cell {
+            dst,
+            exact: dst.is_superset_of(src),
+            ..cell
+        };
+        match key {
+            CellKey::Format(s) => Cell {
+                fmt: set(s),
+                ..Cell::EMPTY
+            },
+            CellKey::Promote(sa, sb) => promote(sa, sb),
+            CellKey::Cast { dst, src } => round(Cell::EMPTY, set(dst), set(src)),
+            CellKey::BinCast(sa, sb, dst) => {
+                let bin = promote(sa, sb);
+                round(bin, set(dst), bin.fmt)
+            }
+            CellKey::Store { arr, dst, src } => Cell {
+                arr,
+                ..round(Cell::EMPTY, set(dst), set(src))
+            },
+        }
+    }
+
+    /// The two operands of a promoting entry, re-rounded as the cell says.
+    #[inline]
+    fn operands(self, va: f64, vb: f64) -> (f64, f64) {
+        (
+            if self.san_a {
+                self.fmt.sanitize_f64(va)
+            } else {
+                va
+            },
+            if self.san_b {
+                self.fmt.sanitize_f64(vb)
+            } else {
+                vb
+            },
+        )
+    }
+
+    /// `v` rounded into the cell's destination.
+    #[inline]
+    fn round(self, v: f64) -> f64 {
+        if self.exact {
+            v
+        } else {
+            self.dst.sanitize_f64(v)
+        }
+    }
+}
+
+/// The per-replay dispatch table of the raw interpreter: the trace's slot
+/// sets and cells resolved against one candidate configuration. Rebuilt
+/// once per replay in O(slots + sets + cells), read once per tape entry.
 #[derive(Default)]
 pub(crate) struct Tables {
     /// Resolved format of each interned slot.
-    pub(crate) fmts: Vec<FpFormat>,
-    /// Promotion table, `slots × slots`, row-major (`[sa * n + sb]`).
-    promo: Vec<Promo>,
-    /// Cast table, `[dst * n + src]`.
-    cast: Vec<CastSpec>,
+    slot_fmts: Vec<FpFormat>,
+    /// Resolved format of each slot set: its widest slot.
+    set_fmts: Vec<FpFormat>,
+    /// Resolved dispatch cells; the raw view's `Packed::fmt` indexes here.
+    pub(crate) cells: Vec<Cell>,
 }
 
 impl Tables {
-    /// Resolves `trace`'s interned slots against `config` and rebuilds the
-    /// promotion and cast tables.
-    ///
-    /// The promotion rule here is **provably equivalent to `Fx::promote`**:
-    /// both pick the winner by the lexicographic key
-    /// `(man_bits, exp_bits)`, left operand on ties. An [`FpFormat`] is
-    /// fully determined by `(exp_bits, man_bits)`, so equal keys imply *the
-    /// same mantissa width* — and for the mixed pairs where one side has
-    /// the wider mantissa but the narrower exponent (binary16 vs
-    /// binary16alt), both rules pick the wider mantissa and saturate the
-    /// loser's out-of-range values through the sanitize, exactly like the
-    /// `convert` that `Fx::promote` inserts. The only liberty taken is
-    /// skipping the sanitize when the winner is a *superset* of the loser
-    /// (identity on in-grid values). `promotion_parity_with_fx_promote`
-    /// below pins the equivalence exhaustively over every `FormatKind`
-    /// pair plus randomized flexfloat formats.
+    /// Resolves `trace`'s slots, slot sets and cells against `config`.
     pub(crate) fn rebuild(&mut self, trace: &Trace, config: &TypeConfig) {
-        self.fmts.clear();
-        self.fmts
+        self.slot_fmts.clear();
+        self.slot_fmts
             .extend(trace.fmt_slots.iter().map(|slot| match *slot {
                 FmtRef::Var(i) => config.format_of(trace.var_names[usize::from(i)]),
                 FmtRef::Fixed(fmt) => fmt,
             }));
-        let n = self.fmts.len();
-        self.promo.clear();
-        self.promo.reserve(n * n);
-        self.cast.clear();
-        self.cast.reserve(n * n);
-        for sa in 0..n {
-            for sb in 0..n {
-                let (fa, fb) = (self.fmts[sa], self.fmts[sb]);
-                // Re-rounding into a superset format is an identity on
-                // in-grid values — skipping it is the one sanitize the
-                // interpreter can prove away that the generic Fx path
-                // pays unconditionally.
-                self.cast.push(CastSpec {
-                    exact: fa.is_superset_of(fb),
-                    fmt: fa,
-                });
-                self.promo.push(if fa == fb {
-                    Promo {
-                        result: sa as u16,
-                        fmt: fa,
-                        san_a: false,
-                        san_b: false,
-                    }
-                } else if (fa.man_bits(), fa.exp_bits()) >= (fb.man_bits(), fb.exp_bits()) {
-                    Promo {
-                        result: sa as u16,
-                        fmt: fa,
-                        san_a: false,
-                        san_b: !fa.is_superset_of(fb),
-                    }
-                } else {
-                    Promo {
-                        result: sb as u16,
-                        fmt: fb,
-                        san_a: !fb.is_superset_of(fa),
-                        san_b: false,
-                    }
-                });
-            }
-        }
+        let slot_fmts = &self.slot_fmts;
+        self.set_fmts.clear();
+        self.set_fmts.extend(trace.sets.iter().map(|&mask| {
+            // The set's slots, lowest first: clear one bit per step.
+            std::iter::successors(Some(mask), |&m| Some(m & m.wrapping_sub(1)))
+                .take_while(|&m| m != 0)
+                .map(|m| slot_fmts[m.trailing_zeros() as usize])
+                .max_by_key(|f| (f.man_bits(), f.exp_bits()))
+                .expect("slot sets are non-empty")
+        }));
+        let set_fmts = &self.set_fmts;
+        self.cells.clear();
+        self.cells
+            .extend(trace.cells.iter().map(|&key| Cell::resolve(key, set_fmts)));
     }
-
-    /// Slot count of the current tables.
-    #[inline]
-    pub(crate) fn n(&self) -> usize {
-        self.fmts.len()
-    }
-
-    /// Resolved format of `slot`.
-    #[inline]
-    pub(crate) fn fmt(&self, slot: u16) -> FpFormat {
-        self.fmts[usize::from(slot)]
-    }
-
-    /// The promotion cell for operand slots `(sa, sb)`.
-    #[inline]
-    pub(crate) fn promo(&self, sa: u16, sb: u16) -> Promo {
-        self.promo[usize::from(sa) * self.fmts.len() + usize::from(sb)]
-    }
-
-    /// The cast cell for `(dst, src)` slots.
-    #[inline]
-    pub(crate) fn cast(&self, dst: u16, src: u16) -> CastSpec {
-        self.cast[usize::from(dst) * self.fmts.len() + usize::from(src)]
-    }
-}
-
-/// Promotes the operands of a binary entry: reads the table cell for the
-/// operands' slots and re-rounds whichever side the cell says, returning
-/// the cell so the caller knows the result slot/format.
-#[inline]
-fn promoted(t: &Tables, vals: &[f64], vslot: &[u16], a: u32, b: u32) -> (f64, f64, Promo) {
-    let e = t.promo(vslot[a as usize], vslot[b as usize]);
-    let mut va = vals[a as usize];
-    let mut vb = vals[b as usize];
-    if e.san_a {
-        va = e.fmt.sanitize_f64(va);
-    }
-    if e.san_b {
-        vb = e.fmt.sanitize_f64(vb);
-    }
-    (va, vb, e)
 }
 
 /// Most retired array buffers a thread's scratch will keep for reuse.
@@ -216,8 +233,8 @@ impl Spare {
 
     /// Recycles every array buffer of `arrays` (leaving it empty, capacity
     /// kept), dropping any buffer that would break a retention cap.
-    pub(crate) fn retire(&mut self, arrays: &mut Vec<(u16, Vec<f64>)>) {
-        for (_, buf) in arrays.drain(..) {
+    pub(crate) fn retire(&mut self, arrays: &mut Vec<Vec<f64>>) {
+        for buf in arrays.drain(..) {
             let bytes = buf.capacity() * std::mem::size_of::<f64>();
             if self.bufs.len() < MAX_SPARE_BUFFERS && self.bytes + bytes <= MAX_SPARE_BYTES {
                 self.bytes += bytes;
@@ -227,16 +244,15 @@ impl Spare {
     }
 }
 
-/// The raw interpreter's machine state: the value table (split into
-/// parallel columns — 10 bytes per value instead of a padded struct, the
-/// table is pure memory traffic), the arrays as (format slot, storage),
-/// the extracted outputs and the comparison cursor. Cloneable, so
-/// [`Trace::replay_candidates`] can fork it after a shared prefix.
+/// The raw interpreter's machine state: the value table (plain `f64`s —
+/// a value's format is a static fact of the tape, read from the consuming
+/// entry's cell), the arrays, the extracted outputs and the comparison
+/// cursor. Cloneable, so [`Trace::replay_candidates`] can fork it after a
+/// shared prefix.
 #[derive(Clone, Default)]
 pub(crate) struct Regs {
     vals: Vec<f64>,
-    vslot: Vec<u16>,
-    pub(crate) arrays: Vec<(u16, Vec<f64>)>,
+    pub(crate) arrays: Vec<Vec<f64>>,
     out: Vec<f64>,
     cmp_seq: usize,
 }
@@ -246,12 +262,9 @@ impl Regs {
     /// array tables is a dummy so ids index directly.
     pub(crate) fn reset(&mut self, trace: &Trace, spare: &mut Spare) {
         self.vals.clear();
-        self.vslot.clear();
         self.vals.reserve(trace.n_values as usize + 1);
-        self.vslot.reserve(trace.n_values as usize + 1);
         self.vals.push(0.0);
-        self.vslot.push(0);
-        self.arrays.push((0, spare.take()));
+        self.arrays.push(spare.take());
         self.out.clear();
         self.out.reserve(trace.outputs.len());
         self.cmp_seq = 0;
@@ -505,9 +518,9 @@ impl Trace {
 
     /// The raw interpreter loop, the only one: runs raw entries
     /// `[start, end)` against `tables`, mutating `regs` in place (new
-    /// arrays draw their storage from `spare`). Returns the full-tape
-    /// divergence site as soon as a recorded comparison flips.
-    #[allow(clippy::too_many_lines)]
+    /// arrays draw their storage from `spare`). Every entry that consults
+    /// a format reads its resolved cell, `tables.cells[fmt]`. Returns the
+    /// full-tape divergence site as soon as a recorded comparison flips.
     pub(crate) fn run_raw(
         &self,
         tables: &Tables,
@@ -518,123 +531,91 @@ impl Trace {
     ) -> Option<usize> {
         let Regs {
             vals,
-            vslot,
             arrays,
             out,
             cmp_seq,
         } = regs;
+        let cells = &tables.cells[..];
         for p in &self.raw_ops[start..end] {
             let Packed { tag, fmt, a, b } = *p;
+            let (a, b) = (a as usize, b as usize);
             match tag {
-                Tag::Leaf => {
-                    vals.push(tables.fmt(fmt).sanitize_f64(self.pool[a as usize]));
-                    vslot.push(fmt);
-                }
+                Tag::Leaf => vals.push(cells[usize::from(fmt)].fmt.sanitize_f64(self.pool[a])),
                 Tag::ArrayNew => {
-                    let f = tables.fmt(fmt);
-                    let raw = &self.pool[a as usize..a as usize + b as usize];
+                    let f = cells[usize::from(fmt)].fmt;
                     let mut data = spare.take();
-                    data.extend(raw.iter().map(|&x| f.sanitize_f64(x)));
-                    arrays.push((fmt, data));
+                    data.extend(self.pool[a..a + b].iter().map(|&x| f.sanitize_f64(x)));
+                    arrays.push(data);
                 }
                 Tag::ArrayZeros => {
                     let mut data = spare.take();
-                    data.resize(a as usize, 0.0);
-                    arrays.push((fmt, data));
+                    data.resize(a, 0.0);
+                    arrays.push(data);
                 }
                 Tag::ArrayDup => {
-                    let (slot, ref src) = arrays[usize::from(fmt)];
                     let mut data = spare.take();
-                    data.extend_from_slice(src);
-                    arrays.push((slot, data));
+                    data.extend_from_slice(&arrays[usize::from(fmt)]);
+                    arrays.push(data);
                 }
-                Tag::Load => {
-                    let (slot, ref data) = arrays[usize::from(fmt)];
-                    vals.push(data[a as usize]);
-                    vslot.push(slot);
-                }
+                Tag::Load => vals.push(arrays[usize::from(fmt)][a]),
                 Tag::Store => {
-                    let (v, sv) = (vals[b as usize], vslot[b as usize]);
-                    let (slot, ref mut data) = arrays[usize::from(fmt)];
-                    let cs = tables.cast(slot, sv);
-                    data[a as usize] = if cs.exact { v } else { cs.fmt.sanitize_f64(v) };
+                    let c = cells[usize::from(fmt)];
+                    arrays[usize::from(c.arr)][a] = c.round(vals[b]);
                 }
-                Tag::Cast => {
-                    let (v, sv) = (vals[a as usize], vslot[a as usize]);
-                    let cs = tables.cast(fmt, sv);
-                    vals.push(if cs.exact { v } else { cs.fmt.sanitize_f64(v) });
-                    vslot.push(fmt);
-                }
+                Tag::Cast => vals.push(cells[usize::from(fmt)].round(vals[a])),
                 Tag::Add | Tag::Sub | Tag::Mul | Tag::Div => {
-                    let (va, vb, e) = promoted(tables, vals, vslot, a, b);
+                    let c = cells[usize::from(fmt)];
+                    let (va, vb) = c.operands(vals[a], vals[b]);
                     let op = match tag {
                         Tag::Add => BinOp::Add,
                         Tag::Sub => BinOp::Sub,
                         Tag::Mul => BinOp::Mul,
                         _ => BinOp::Div,
                     };
-                    vals.push(Emulated.bin_op(e.fmt, op, va, vb));
-                    vslot.push(e.result);
+                    vals.push(Emulated.bin_op(c.fmt, op, va, vb));
                 }
                 Tag::AddCast | Tag::SubCast | Tag::MulCast | Tag::DivCast => {
-                    // Fused bin + cast-of-result: two values, one entry. The
-                    // cast side is one table cell keyed on the interned
-                    // (result-slot, dst-slot) pair.
-                    let (va, vb, e) = promoted(tables, vals, vslot, a, b);
+                    // Fused bin + cast-of-result: two values, one entry,
+                    // one cell.
+                    let c = cells[usize::from(fmt)];
+                    let (va, vb) = c.operands(vals[a], vals[b]);
                     let op = match tag {
                         Tag::AddCast => BinOp::Add,
                         Tag::SubCast => BinOp::Sub,
                         Tag::MulCast => BinOp::Mul,
                         _ => BinOp::Div,
                     };
-                    let raw = Emulated.bin_op(e.fmt, op, va, vb);
+                    let raw = Emulated.bin_op(c.fmt, op, va, vb);
                     vals.push(raw);
-                    vslot.push(e.result);
-                    let cs = tables.cast(fmt, e.result);
-                    vals.push(if cs.exact {
-                        raw
-                    } else {
-                        cs.fmt.sanitize_f64(raw)
-                    });
-                    vslot.push(fmt);
+                    vals.push(c.round(raw));
                 }
-                Tag::Sqrt => {
-                    let (v, sv) = (vals[a as usize], vslot[a as usize]);
-                    vals.push(Emulated.sqrt(tables.fmt(sv), v));
-                    vslot.push(sv);
-                }
+                Tag::Sqrt => vals.push(Emulated.sqrt(cells[usize::from(fmt)].fmt, vals[a])),
                 Tag::Min | Tag::Max => {
-                    let (va, vb, e) = promoted(tables, vals, vslot, a, b);
-                    let val = if tag == Tag::Min {
-                        Emulated.min(e.fmt, va, vb)
+                    let c = cells[usize::from(fmt)];
+                    let (va, vb) = c.operands(vals[a], vals[b]);
+                    vals.push(if tag == Tag::Min {
+                        Emulated.min(c.fmt, va, vb)
                     } else {
-                        Emulated.max(e.fmt, va, vb)
-                    };
-                    vals.push(val);
-                    vslot.push(e.result);
+                        Emulated.max(c.fmt, va, vb)
+                    });
                 }
-                Tag::Neg => {
-                    vals.push(-vals[a as usize]);
-                    vslot.push(vslot[a as usize]);
-                }
-                Tag::Abs => {
-                    vals.push(vals[a as usize].abs());
-                    vslot.push(vslot[a as usize]);
-                }
+                Tag::Neg => vals.push(-vals[a]),
+                Tag::Abs => vals.push(vals[a].abs()),
                 Tag::CmpLt | Tag::CmpLe => {
-                    let (va, vb, _) = promoted(tables, vals, vslot, a, b);
+                    let c = cells[usize::from(fmt & !OUTCOME_BIT)];
+                    let (va, vb) = c.operands(vals[a], vals[b]);
                     let got = if tag == Tag::CmpLe { va <= vb } else { va < vb };
                     let seq = *cmp_seq;
                     *cmp_seq += 1;
-                    if got != (fmt != 0) {
+                    if got != (fmt & OUTCOME_BIT != 0) {
                         // Map the k-th raw comparison back to its
                         // full-tape address.
                         return Some(self.cmp_sites[seq] as usize);
                     }
                 }
-                Tag::Extract => out.push(vals[a as usize]),
-                Tag::ExtractArray => out.extend_from_slice(&arrays[usize::from(fmt)].1),
-                Tag::ExtractElement => out.push(arrays[usize::from(fmt)].1[a as usize]),
+                Tag::Extract => out.push(vals[a]),
+                Tag::ExtractArray => out.extend_from_slice(&arrays[usize::from(fmt)]),
+                Tag::ExtractElement => out.push(arrays[usize::from(fmt)][a]),
                 // Stripped from the raw view (nothing observes them).
                 Tag::IntOps | Tag::VectorEnter | Tag::VectorExit => {}
             }
@@ -811,16 +792,9 @@ mod tests {
         }
     }
 
-    /// Exhaustive pairwise pin of the raw promotion table against
-    /// `Fx::promote`: every `FormatKind` pair — including the mixed
-    /// binary16 (wider mantissa, narrower exponent) vs binary16alt (the
-    /// reverse) pair — a systematic `(e, m)` grid, and LCG-randomized
-    /// flexfloat formats. The live run promotes through `Fx::promote`; the
-    /// raw replay promotes through the `Promo` table; bit-identical
-    /// outputs over +,−,×,÷,min,max prove the rules agree (see the
-    /// equivalence argument on [`Tables::rebuild`]).
-    #[test]
-    fn promotion_parity_with_fx_promote() {
+    /// The format grid of the promotion parity tests: every `FormatKind`,
+    /// a systematic `(e, m)` grid and xorshift-drawn flexfloat formats.
+    fn format_grid() -> Vec<FpFormat> {
         let mut formats = vec![BINARY8, BINARY16, BINARY16ALT, BINARY32];
         for e in [2u32, 3, 5, 8, 11] {
             for m in [1u32, 2, 7, 9, 10, 23, 24, 30, 52] {
@@ -845,6 +819,20 @@ mod tests {
             }
         }
         formats.dedup();
+        formats
+    }
+
+    /// Exhaustive pairwise pin of the raw promotion cells against
+    /// `Fx::promote`: every `FormatKind` pair — including the mixed
+    /// binary16 (wider mantissa, narrower exponent) vs binary16alt (the
+    /// reverse) pair — a systematic `(e, m)` grid, and randomized
+    /// flexfloat formats. The live run promotes through `Fx::promote`; the
+    /// raw replay promotes through its resolved cells; bit-identical
+    /// outputs over +,−,×,÷,min,max prove the rules agree (see the
+    /// equivalence argument on `Cell::resolve`).
+    #[test]
+    fn promotion_parity_with_fx_promote() {
+        let formats = format_grid();
 
         // Operand values chosen to make the promotion visible: fine-grained
         // mantissas (round differently at every precision) and a magnitude
@@ -877,6 +865,98 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The chain rule behind the record-time slot sets: a value made by
+    /// promotions has the widest format of every slot it came from, so
+    /// chains of three and four variables — `((x + y) * z).to(w)`, min/max
+    /// of mixed operands, a store of a mixed product into an array of a
+    /// fourth format, a comparison of mixed operands — must replay
+    /// bit-identically to live runs, and the raw and observed
+    /// interpreters must take the same divergence decisions. Covers every
+    /// assignment of the four platform formats plus xorshift-drawn
+    /// 4-tuples from the format grid.
+    #[test]
+    fn promotion_chains_match_fx_promote() {
+        let run = |cfg: &TypeConfig| {
+            let (fx, fy, fz, fw) = (
+                cfg.format_of("x"),
+                cfg.format_of("y"),
+                cfg.format_of("z"),
+                cfg.format_of("w"),
+            );
+            let x = Fx::new(1.0 + 317.0 / 4096.0, fx);
+            let y = Fx::new(-196_608.0 * (1.0 + 1.0 / 1024.0), fy);
+            let z = Fx::new(0.3, fz);
+            let mut w = FxArray::from_f64s(fw, &[2.5, -0.1, 0.0]);
+            let chain = ((x + y) * z).to(fw);
+            w.set(2, x * y * z);
+            let mixed = (x - w.get(0)).min(y * z).max((z + w.get(1)).abs());
+            let root = (x * z + w.get(0)).sqrt();
+            // A comparison of mixed chains, close enough to flip once the
+            // formats get coarse: replay must then refuse (or not) exactly
+            // as the observed interpreter does.
+            let t = Fx::new(1.0 + 300.0 / 4096.0, fz);
+            let picked = if (t * z).lt(x * z) {
+                chain + mixed
+            } else {
+                chain - mixed
+            };
+            let mut out = vec![chain.value(), mixed.value(), root.value(), picked.value()];
+            out.extend(w.to_f64s());
+            out
+        };
+        let vars = [
+            VarSpec::scalar("x"),
+            VarSpec::scalar("y"),
+            VarSpec::scalar("z"),
+            VarSpec::array("w", 3),
+        ];
+        let trace = Trace::record(&vars, run).unwrap();
+        assert_eq!(trace.comparisons(), 1);
+
+        let platform = [BINARY8, BINARY16, BINARY16ALT, BINARY32];
+        let mut tuples: Vec<[FpFormat; 4]> = Vec::new();
+        for i in 0..4usize.pow(4) {
+            tuples.push([0, 1, 2, 3].map(|d| platform[i / 4usize.pow(d) % 4]));
+        }
+        let grid = format_grid();
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut pick = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            grid[(state % grid.len() as u64) as usize]
+        };
+        for _ in 0..1500 {
+            tuples.push([pick(), pick(), pick(), pick()]);
+        }
+
+        let (mut outputs, mut divergent) = (0, 0);
+        for [fx, fy, fz, fw] in tuples {
+            let cfg = TypeConfig::baseline()
+                .with("x", fx)
+                .with("y", fy)
+                .with("z", fz)
+                .with("w", fw);
+            let raw = trace.replay(&cfg);
+            let (via_fx, _) = Recorder::scoped(|| trace.replay(&cfg));
+            assert_eq!(raw, via_fx, "raw and observed decisions differ at {cfg}");
+            match raw {
+                Replayed::Output(out) => {
+                    outputs += 1;
+                    let live = run(&cfg);
+                    assert_eq!(
+                        out.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                        live.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                        "chain parity broke at {cfg}"
+                    );
+                }
+                Replayed::Divergent { .. } => divergent += 1,
+            }
+        }
+        // Both branches of the decision are exercised.
+        assert!(outputs > 0 && divergent > 0, "{outputs} / {divergent}");
     }
 
     /// Replaying a large trace must not pin its buffers forever: the spare
@@ -1049,5 +1129,73 @@ mod tests {
             .collect();
         let err = Trace::record(&vars, |_| vec![]).unwrap_err();
         assert!(matches!(err, RecordError::TooManyVariables { .. }), "{err}");
+    }
+
+    /// `n` distinct formats no program variable is recorded under (the
+    /// recording pool has `m >= 24`).
+    fn fixed_formats(n: usize) -> Vec<FpFormat> {
+        let all = (2u32..=11).flat_map(|e| (1u32..=23).map(move |m| (e, m)));
+        let formats: Vec<FpFormat> = all
+            .filter_map(|(e, m)| FpFormat::new(e, m).ok())
+            .filter(|&f| f != BINARY32)
+            .take(n)
+            .collect();
+        assert_eq!(formats.len(), n);
+        formats
+    }
+
+    /// A program whose leaves name `formats`, summed left to right so
+    /// every promotion widens the running slot set.
+    fn sum_of_leaves(formats: &[FpFormat]) -> Vec<f64> {
+        let total = formats
+            .iter()
+            .map(|&f| Fx::new(0.1, f))
+            .fold(Fx::new(0.0, BINARY32), |acc, x| acc + x);
+        vec![total.value()]
+    }
+
+    #[test]
+    fn slot_sets_up_to_the_encoding_limit_replay() {
+        // Slot 0 is always binary32, so 127 more fill all 128 slots.
+        let formats = fixed_formats(crate::tape::MAX_SLOTS - 1);
+        let trace = Trace::record(&[], |_| sum_of_leaves(&formats)).unwrap();
+        assert_eq!(trace.fmt_slots.len(), crate::tape::MAX_SLOTS);
+        let out = trace.replay(&TypeConfig::baseline()).output().unwrap();
+        assert_eq!(out, sum_of_leaves(&formats));
+    }
+
+    #[test]
+    fn too_many_format_slots_is_reported() {
+        let formats = fixed_formats(crate::tape::MAX_SLOTS);
+        let err = Trace::record(&[], |_| sum_of_leaves(&formats)).unwrap_err();
+        assert_eq!(
+            err,
+            RecordError::EncodingLimit {
+                what: "format slots",
+                max: crate::tape::MAX_SLOTS,
+            }
+        );
+    }
+
+    #[test]
+    fn too_many_dispatch_cells_is_reported() {
+        // A store's cell names its array, so one store into each of more
+        // arrays than there are cell indices overflows the cell table.
+        let arrays = crate::tape::MAX_CELLS + 1;
+        let err = Trace::record(&[], |_| {
+            let v = Fx::new(0.5, BINARY32);
+            for _ in 0..arrays {
+                FxArray::zeros(BINARY32, 1).set(0, v);
+            }
+            vec![]
+        })
+        .unwrap_err();
+        assert_eq!(
+            err,
+            RecordError::EncodingLimit {
+                what: "dispatch cells",
+                max: crate::tape::MAX_CELLS,
+            }
+        );
     }
 }

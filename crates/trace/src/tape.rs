@@ -222,29 +222,41 @@ pub(crate) enum Tag {
 /// initializer `f64`s in [`Trace::pool`], formats interned in
 /// [`Trace::fmt_slots`] — and arrays are few enough that an [`ArrayId`]
 /// rides in the 16-bit `fmt` field, so every entry is `tag + u16 + two u32
-/// operands`. The public [`TapeOp`] enum is the decoded *view* of this
-/// ([`Trace::op`]), not the storage.
+/// operands`. The public [`TapeOp`] enum is the decoded *view* of the full
+/// tape ([`Trace::op`]), not the storage.
+///
+/// The `fmt` field means different things on the two tapes a [`Trace`]
+/// keeps. On the full tape (`Trace::ops`, replayed by the observed
+/// interpreter) it names a format slot. On the raw view
+/// (`Trace::raw_ops`) every entry that consults a format instead holds
+/// the index of its dispatch cell in `Trace::cells`: which formats the
+/// entry computes in is a static fact of the tape, resolved once at
+/// record time (see [`CellKey`]), so the raw interpreter tracks no
+/// per-value format. A comparison's raw cell index shares the field with
+/// its recorded outcome in the top bit ([`OUTCOME_BIT`]), which caps a
+/// trace at [`MAX_CELLS`] cells.
 ///
 /// Field meaning per tag ([`ValueId`]/[`ArrayId`] operands as named):
 ///
-/// | tag | `fmt` | `a` | `b` |
-/// |---|---|---|---|
-/// | `Leaf` | slot | pool index of `raw` | — |
-/// | `ArrayNew` | slot | pool offset | length |
-/// | `ArrayZeros` | slot | length | — |
-/// | `ArrayDup` | source array | — | — |
-/// | `Load` | array | index | — |
-/// | `Store` | array | index | value |
-/// | `Cast` | dst slot | value | — |
-/// | `Add..Div`, `Min`, `Max` | — | lhs | rhs |
-/// | `AddCast..DivCast` (raw view) | dst slot | lhs | rhs |
-/// | `Sqrt`, `Neg`, `Abs` | — | value | — |
-/// | `CmpLt`/`CmpLe` | outcome (0/1) | lhs | rhs |
-/// | `Extract` | — | value | — |
-/// | `ExtractArray` | array | — | — |
-/// | `ExtractElement` | array | index | — |
-/// | `IntOps` | — | count | — |
-/// | `VectorEnter`/`Exit` | — | — | — |
+/// | tag | `fmt` (full tape) | `fmt` (raw view) | `a` | `b` |
+/// |---|---|---|---|---|
+/// | `Leaf` | slot | cell | pool index of `raw` | — |
+/// | `ArrayNew` | slot | cell | pool offset | length |
+/// | `ArrayZeros` | slot | — | length | — |
+/// | `ArrayDup` | source array | source array | — | — |
+/// | `Load` | array | array | index | — |
+/// | `Store` | array | cell (holds the array) | index | value |
+/// | `Cast` | dst slot | cell | value | — |
+/// | `Add..Div`, `Min`, `Max` | — | cell | lhs | rhs |
+/// | `AddCast..DivCast` | (raw view only) | cell | lhs | rhs |
+/// | `Sqrt` | — | cell | value | — |
+/// | `Neg`, `Abs` | — | — | value | — |
+/// | `CmpLt`/`CmpLe` | outcome (0/1) | cell, outcome in [`OUTCOME_BIT`] | lhs | rhs |
+/// | `Extract` | — | — | value | — |
+/// | `ExtractArray` | array | array | — | — |
+/// | `ExtractElement` | array | array | index | — |
+/// | `IntOps` | — | (stripped) | count | — |
+/// | `VectorEnter`/`Exit` | — | (stripped) | — | — |
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Packed {
     pub(crate) tag: Tag,
@@ -252,6 +264,18 @@ pub(crate) struct Packed {
     pub(crate) a: u32,
     pub(crate) b: u32,
 }
+
+/// The bit of a raw-view comparison's `fmt` field that holds its recorded
+/// outcome; the bits below it hold the entry's cell index.
+pub(crate) const OUTCOME_BIT: u16 = 1 << 15;
+
+/// Most dispatch cells one trace may intern: every cell index must fit
+/// below [`OUTCOME_BIT`].
+pub(crate) const MAX_CELLS: usize = OUTCOME_BIT as usize;
+
+/// Most format slots one trace may intern: a value's slot set is a
+/// `u128` bit mask ([`Trace::sets`]).
+pub(crate) const MAX_SLOTS: usize = u128::BITS as usize;
 
 impl Packed {
     pub(crate) fn new(tag: Tag) -> Self {
@@ -261,6 +285,95 @@ impl Packed {
             a: 0,
             b: 0,
         }
+    }
+
+    /// The dispatch cell a raw-view entry consults, if its tag consults
+    /// one.
+    pub(crate) fn cell(self) -> Option<usize> {
+        match self.tag {
+            Tag::Leaf
+            | Tag::ArrayNew
+            | Tag::Store
+            | Tag::Cast
+            | Tag::Add
+            | Tag::Sub
+            | Tag::Mul
+            | Tag::Div
+            | Tag::AddCast
+            | Tag::SubCast
+            | Tag::MulCast
+            | Tag::DivCast
+            | Tag::Sqrt
+            | Tag::Min
+            | Tag::Max => Some(usize::from(self.fmt)),
+            Tag::CmpLt | Tag::CmpLe => Some(usize::from(self.fmt & !OUTCOME_BIT)),
+            _ => None,
+        }
+    }
+
+    /// The entry with a comparison's recorded outcome masked off — the
+    /// part of a raw-view entry that is program shape rather than input
+    /// data.
+    pub(crate) fn shape(self) -> (Tag, u16, u32, u32) {
+        let fmt = match self.tag {
+            Tag::CmpLt | Tag::CmpLe => self.fmt & !OUTCOME_BIT,
+            _ => self.fmt,
+        };
+        (self.tag, fmt, self.a, self.b)
+    }
+}
+
+/// What a raw-view dispatch cell is keyed on. Every operand is a *slot
+/// set*, an index into [`Trace::sets`]: a value's format under any
+/// configuration is the widest — by the `(man_bits, exp_bits)` key of
+/// `Fx::promote` — of its set's resolved formats. A leaf, load or cast
+/// gives a one-slot set; a promotion gives the union of its operands'
+/// sets, which is exactly what `Fx::promote` picks because equal keys mean
+/// equal formats. So the formats an entry consults are known at record
+/// time up to the configuration, and the raw interpreter reads them from
+/// the cell instead of tracking a format per value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum CellKey {
+    /// The format of a set (`Leaf`, `ArrayNew`, `Sqrt`).
+    Format(u16),
+    /// The promotion of two operand sets (`Add..Div`, `Min`, `Max`,
+    /// comparisons).
+    Promote(u16, u16),
+    /// The rounding of a value of set `src` into set `dst` (`Cast`).
+    Cast {
+        /// Destination set.
+        dst: u16,
+        /// Source set.
+        src: u16,
+    },
+    /// A promotion followed by a cast of its result into `dst` (the fused
+    /// `AddCast..DivCast` tags).
+    BinCast(u16, u16, u16),
+    /// The rounding of a value of set `src` into array `arr`, whose
+    /// elements have set `dst` (`Store`; the array rides in the cell
+    /// because the entry's `fmt` field holds the cell).
+    Store {
+        /// Destination array.
+        arr: u16,
+        /// The array's element set.
+        dst: u16,
+        /// The stored value's set.
+        src: u16,
+    },
+}
+
+impl CellKey {
+    /// The key as one integer — kind in the top byte, then up to three
+    /// 16-bit operands — for cheap hashing and comparison while interning.
+    pub(crate) fn packed(self) -> u64 {
+        let (kind, x, y, z) = match self {
+            CellKey::Format(s) => (0, s, 0, 0),
+            CellKey::Promote(sa, sb) => (1, sa, sb, 0),
+            CellKey::Cast { dst, src } => (2, dst, src, 0),
+            CellKey::BinCast(sa, sb, dst) => (3, sa, sb, dst),
+            CellKey::Store { arr, dst, src } => (4, arr, dst, src),
+        };
+        kind << 56 | u64::from(x) << 32 | u64::from(y) << 16 | u64::from(z)
     }
 }
 
@@ -284,10 +397,16 @@ pub struct Trace {
     pub(crate) cmp_sites: Vec<u32>,
     /// Out-of-line `f64` payloads (leaf literals, array initializers).
     pub(crate) pool: Vec<f64>,
-    /// Interned format slots; `Packed::fmt` indexes here. Replay resolves
-    /// the whole table against the candidate config once, so the per-op
-    /// cost is one array read instead of a config lookup.
+    /// Interned format slots; the full tape's `Packed::fmt` indexes here.
+    /// Replay resolves the whole table against the candidate config once,
+    /// so the per-op cost is one array read instead of a config lookup.
     pub(crate) fmt_slots: Vec<FmtRef>,
+    /// Interned slot sets, as bit masks over `fmt_slots`. Set `i < slots`
+    /// is the one-slot set `{i}`; unions made by promotions follow.
+    pub(crate) sets: Vec<u128>,
+    /// Interned dispatch cells; the raw view's `Packed::fmt` indexes here.
+    /// Replay resolves each cell once per candidate (O(cells)).
+    pub(crate) cells: Vec<CellKey>,
     pub(crate) n_values: u32,
     pub(crate) n_arrays: u32,
     pub(crate) var_names: Vec<&'static str>,
@@ -300,27 +419,22 @@ pub struct Trace {
 impl Trace {
     /// `true` when `other` records the *same program shape* as `self`:
     /// identical raw op stream (comparison outcomes aside), format slots,
-    /// variable names, table sizes, pool length and output plan — i.e.
-    /// the same kernel taped on a different input set, with possibly
-    /// different recorded branch outcomes.
+    /// slot sets, dispatch cells, variable names, table sizes, pool length
+    /// and output plan — i.e. the same kernel taped on a different input
+    /// set, with possibly different recorded branch outcomes.
     #[must_use]
     pub fn same_shape(&self, other: &Trace) -> bool {
-        // A comparison's `fmt` field holds its *recorded outcome*, which
-        // is input-data-dependent and not part of the shape.
-        let shape = |p: &Packed| {
-            let fmt = match p.tag {
-                Tag::CmpLt | Tag::CmpLe => 0,
-                _ => p.fmt,
-            };
-            (p.tag, fmt, p.a, p.b)
-        };
+        // A comparison's outcome bit is input-data-dependent and not part
+        // of the shape; its cell index is.
         self.raw_ops.len() == other.raw_ops.len()
             && self
                 .raw_ops
                 .iter()
-                .map(shape)
-                .eq(other.raw_ops.iter().map(shape))
+                .map(|p| p.shape())
+                .eq(other.raw_ops.iter().map(|p| p.shape()))
             && self.fmt_slots == other.fmt_slots
+            && self.sets == other.sets
+            && self.cells == other.cells
             && self.var_names == other.var_names
             && (self.n_values, self.n_arrays) == (other.n_values, other.n_arrays)
             && self.pool.len() == other.pool.len()
@@ -474,5 +588,50 @@ impl Trace {
     /// The decoded tape, for inspection and reporting.
     pub fn ops(&self) -> impl Iterator<Item = TapeOp> + '_ {
         (0..self.len()).map(|i| self.op(i))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use flexfloat::{Fx, VarSpec};
+
+    /// The raw-view comparison entry of a trace with one comparison.
+    fn cmp_site(trace: &Trace) -> usize {
+        trace
+            .raw_ops
+            .iter()
+            .position(|p| p.tag == Tag::CmpLt)
+            .expect("one comparison")
+    }
+
+    #[test]
+    fn same_shape_ignores_only_the_comparison_outcome() {
+        // The outcome is recorded but steers nothing, so two input sets on
+        // either side of the threshold tape the same op stream.
+        let taped = |x0: f64| {
+            Trace::record(&[VarSpec::scalar("x")], move |cfg| {
+                let x = Fx::new(x0, cfg.format_of("x"));
+                let one = Fx::new(1.0, cfg.format_of("x"));
+                let _ = x.lt(one);
+                vec![(x * one).value()]
+            })
+            .unwrap()
+        };
+        let (below, above) = (taped(0.5), taped(1.5));
+        let (lo, hi) = (
+            below.raw_ops[cmp_site(&below)],
+            above.raw_ops[cmp_site(&above)],
+        );
+        assert_eq!(lo.fmt ^ hi.fmt, OUTCOME_BIT, "only the outcomes differ");
+        assert!(below.same_shape(&above));
+
+        // Any other bit of the field is the comparison's cell: shape.
+        let site = cmp_site(&below);
+        let mut other = below.clone();
+        other.raw_ops[site].fmt ^= 1;
+        assert!(!below.same_shape(&other));
+        other.raw_ops[site].fmt ^= 1 | OUTCOME_BIT;
+        assert!(below.same_shape(&other));
     }
 }

@@ -171,6 +171,54 @@ fn service_acceptance_concurrent_clients_warm_store_zero_evaluations() {
 /// `force_mode` is the programmatic spelling of `TP_METRICS=on` — both
 /// route through the same mode parser — and avoids mutating the process
 /// environment while sibling tests run.
+/// Open file descriptors of this process, or `None` where `/proc` is not
+/// available.
+fn open_fds() -> Option<usize> {
+    std::fs::read_dir("/proc/self/fd").ok().map(Iterator::count)
+}
+
+/// Sequential connect/`LIST`/close cycles must not leave descriptors
+/// behind: the server keeps one stream clone per *open* connection (so
+/// shutdown can unblock idle handlers) and drops it when the handler
+/// returns.
+#[test]
+fn closed_connections_release_their_descriptors() {
+    const CYCLES: usize = 400;
+    // Other tests in this binary open and close descriptors concurrently;
+    // the slack absorbs them, and a leak of one descriptor per cycle
+    // would still overshoot it four times over.
+    const SLACK: usize = 100;
+    let (resolver, _runs) = counting_resolver();
+    let server = Server::bind(ServeConfig {
+        concurrency: 1,
+        resolver,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let addr = server.local_addr().to_string();
+    let handle = std::thread::spawn(move || server.run());
+    let Some(baseline) = open_fds() else {
+        return;
+    };
+    for _ in 0..CYCLES {
+        let mut client = Client::connect(&addr).unwrap();
+        assert!(client.list().unwrap().starts_with("OK"));
+    }
+    // Handlers notice the close asynchronously; wait for them to return.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    let mut open = open_fds().unwrap();
+    while open > baseline + SLACK && std::time::Instant::now() < deadline {
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        open = open_fds().unwrap();
+    }
+    assert!(
+        open <= baseline + SLACK,
+        "{open} descriptors open after {CYCLES} closed connections, {baseline} before"
+    );
+    Client::connect(&addr).unwrap().shutdown().unwrap();
+    handle.join().unwrap();
+}
+
 #[test]
 fn stats_plane_reports_latency_histograms_and_store_counters() {
     use tp_store::json::Value;
