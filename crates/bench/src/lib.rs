@@ -230,9 +230,8 @@ pub fn evaluate_app(app: &dyn Tunable, threshold: f64, params: &PlatformParams) 
 
 /// [`evaluate_app`] with an explicit worker count for the precision search
 /// (`0` = auto) and an explicit [`TunerMode`]. The result is bit-identical
-/// at any worker count *and* in either mode;
-/// [`TuningOutcome::evaluations`] aside for workers,
-/// [`TuningOutcome::replay`] aside for the mode.
+/// at any worker count *and* in either mode, [`TuningOutcome::replay`]
+/// aside for the mode.
 ///
 /// Routed through the environment-configured result store
 /// ([`env::shared_store`], resolved once per process): with
@@ -301,7 +300,7 @@ pub fn evaluate_suite(threshold: f64, params: &PlatformParams) -> Vec<AppResult>
 /// kernel first, and any surplus handed down to each kernel's precision
 /// search. Results come back in suite order and are bit-identical to the
 /// sequential evaluation at any worker count and in either mode
-/// (evaluation counts / replay summaries aside).
+/// (replay summaries aside for the mode).
 #[must_use]
 pub fn evaluate_suite_with(
     threshold: f64,

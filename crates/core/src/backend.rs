@@ -44,7 +44,7 @@
 //! ```
 //!
 //! Worker threads do not inherit the installation automatically; the
-//! fan-out layers (`tp_tuner::parallel_map`, `join2`) capture
+//! fan-out layer (`tp_tuner::parallel_map`) captures
 //! [`Engine::current`] and re-install it on each worker, which is what
 //! keeps tuning runs backend-generic *and* worker-count-invariant.
 
@@ -341,7 +341,7 @@ impl Engine {
     /// exists, else the process-wide `TP_BACKEND` default, else `None`
     /// (the emulated fast path).
     ///
-    /// Fan-out code captures this once per `parallel_map`/`join2` call and
+    /// Fan-out code captures this once per `parallel_map` call and
     /// re-installs it on each worker thread with [`Engine::with`].
     #[must_use]
     pub fn current() -> Option<Arc<dyn FpBackend>> {

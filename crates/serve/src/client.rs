@@ -9,10 +9,10 @@ use tp_store::{record_from_json, TuningRecord};
 use crate::proto::{read_frame, write_frame};
 
 /// One connection to a tuning server. Requests are strictly
-/// request/response, so a client is single-threaded by construction.
+/// request/response, so a client is single-threaded by construction, and
+/// it reads and writes through one descriptor.
 pub struct Client {
     reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
 }
 
 /// A settled job result as returned by `RESULT`.
@@ -31,11 +31,8 @@ impl Client {
     ///
     /// Propagates connection failures.
     pub fn connect(addr: impl std::net::ToSocketAddrs) -> io::Result<Client> {
-        let stream = TcpStream::connect(addr)?;
-        let writer = BufWriter::new(stream.try_clone()?);
         Ok(Client {
-            reader: BufReader::new(stream),
-            writer,
+            reader: BufReader::new(TcpStream::connect(addr)?),
         })
     }
 
@@ -45,7 +42,7 @@ impl Client {
     ///
     /// I/O failures, or an unexpected server hang-up.
     pub fn call(&mut self, payload: &str) -> io::Result<String> {
-        write_frame(&mut self.writer, payload)?;
+        write_frame(&mut BufWriter::new(self.reader.get_ref()), payload)?;
         read_frame(&mut self.reader)?.ok_or_else(|| {
             io::Error::new(io::ErrorKind::UnexpectedEof, "server closed the connection")
         })

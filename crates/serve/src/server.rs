@@ -225,11 +225,11 @@ struct Core {
     resolver: KernelResolver,
     /// Per-job tuner-worker budget (the `evaluate_suite`-style split).
     workers_per_job: usize,
-    /// A clone of every open connection's stream, keyed by connection id,
-    /// so shutdown can unblock handler threads parked in a read on an idle
-    /// connection. A handler removes its entry when it returns, so the map
-    /// holds one descriptor per *open* connection.
-    conns: Mutex<HashMap<u64, TcpStream>>,
+    /// Every open connection's stream, keyed by connection id and shared
+    /// with its handler, so shutdown can unblock handler threads parked in
+    /// a read on an idle connection. A handler removes its entry when it
+    /// returns; a connection costs the server one descriptor.
+    conns: Mutex<HashMap<u64, Arc<TcpStream>>>,
 }
 
 impl Core {
@@ -546,11 +546,13 @@ impl Server {
                 else {
                     continue;
                 };
-                if let Ok(clone) = stream.try_clone() {
-                    core.conns.lock().expect("conns poisoned").insert(id, clone);
-                }
+                let stream = Arc::new(stream);
+                core.conns
+                    .lock()
+                    .expect("conns poisoned")
+                    .insert(id, Arc::clone(&stream));
                 scope.spawn(move || {
-                    handle_connection(core, stream);
+                    handle_connection(core, &stream);
                     core.conns.lock().expect("conns poisoned").remove(&id);
                 });
             }
@@ -565,16 +567,15 @@ impl Server {
     }
 }
 
-/// Serves one client connection: frames in, frames out, until EOF.
-fn handle_connection(core: &Core, stream: TcpStream) {
-    let peer_writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
+/// Serves one client connection: frames in, frames out, until EOF. A
+/// failed read or write ends the connection and counts as
+/// `serve.io_errors`.
+fn handle_connection(core: &Core, stream: &TcpStream) {
+    let count_io_error = |_: &io::Error| tp_obs::counter_inc("serve.io_errors");
     let mut reader = BufReader::new(stream);
-    let mut writer = BufWriter::new(peer_writer);
+    let mut writer = BufWriter::new(stream);
     loop {
-        let payload = match read_frame(&mut reader) {
+        let payload = match read_frame(&mut reader).inspect_err(count_io_error) {
             Ok(Some(p)) => p,
             Ok(None) | Err(_) => return, // EOF or a broken peer
         };
@@ -592,7 +593,7 @@ fn handle_connection(core: &Core, stream: TcpStream) {
             tp_obs::observe_ns(&format!("serve.request_ns.{verb}"), ns);
         }
         let is_bye = response.starts_with("BYE");
-        let written = write_frame(&mut writer, &response);
+        let written = write_frame(&mut writer, &response).inspect_err(count_io_error);
         if is_bye {
             // The acceptor may be parked in accept(); a self-connection
             // wakes it so it can observe `stop` and exit. (An accepted
@@ -601,7 +602,7 @@ fn handle_connection(core: &Core, stream: TcpStream) {
             // shutdown client died during the drain — or Server::run
             // would stay parked in accept() with the drain already
             // complete.
-            if let Ok(addr) = reader.get_ref().local_addr() {
+            if let Ok(addr) = stream.local_addr() {
                 let _ = TcpStream::connect(addr);
             }
             return;

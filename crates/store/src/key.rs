@@ -21,12 +21,14 @@
 //!   invariant today" is not an invariant of future backends; keying on
 //!   them trades a little dedup for never serving a wrong artifact.
 //!
-//! **Deliberately excluded:** `SearchParams::workers` — chosen formats
-//! and recorded counts are worker-count invariant by the determinism
-//! contract (`DESIGN.md §5`), and the whole point of a shared store is
-//! that an 8-worker server and a 1-worker laptop hit the same entries.
-//! (The `evaluations` counter inside a stored outcome consequently
-//! reflects the worker count of whoever computed it first.)
+//! **Deliberately excluded:** `SearchParams::workers` — chosen formats,
+//! evaluation counts and recorded counts are worker-count invariant by
+//! the determinism contract (`DESIGN.md §5`), and the whole point of a
+//! shared store is that an 8-worker server and a 1-worker laptop hit the
+//! same entries. (Records computed at 6 or more workers by a tuner that
+//! still evaluated the narrow and wide hypotheses of a probe in parallel
+//! may carry an `evaluations` count inflated by those extra evaluations;
+//! their chosen formats are the same.)
 //!
 //! [`SearchParams::input_sets`]: tp_tuner::SearchParams::input_sets
 //! [`ReplaySummary`]: tp_tuner::ReplaySummary

@@ -1,22 +1,14 @@
-//! Multi-trace and multi-candidate replay entry points.
+//! Multi-trace and multi-candidate replay entry points, both plain maps
+//! of [`Trace::replay`] kept as conveniences:
 //!
 //! * [`Trace::replay_batch`]: every input set's tape under one
-//!   configuration — plain per-trace [`Trace::replay`], kept as a
-//!   convenience for callers that hold a group of tapes.
-//! * [`Trace::replay_candidates`]: several candidate configurations in
-//!   one call. The dispatch cells are resolved up front and diffed; every
-//!   raw entry before the first one whose cell resolves *differently*
-//!   computes bit-identically under every candidate, so that prefix runs
-//!   once on the raw interpreter ([`Trace::run_raw`]) and its state is
-//!   forked per candidate at the first difference.
-//!
-//! Both fall back to per-trace [`Trace::replay`] whenever the thread is
-//! observed (a recorder or installed backend must see every event in
-//! recorded order) — callers never need to pre-check.
+//!   configuration.
+//! * [`Trace::replay_candidates`]: one tape under several candidate
+//!   configurations.
 
-use flexfloat::{Engine, Recorder, TypeConfig};
+use flexfloat::TypeConfig;
 
-use crate::replay::{Regs, Replayed, Spare, Tables};
+use crate::replay::Replayed;
 use crate::tape::Trace;
 
 impl Trace {
@@ -27,79 +19,19 @@ impl Trace {
         traces.iter().map(|t| t.replay(config)).collect()
     }
 
-    /// Replays `self` under every configuration in `configs` in one call,
-    /// returning one [`Replayed`] per configuration, in order. The shared
-    /// tape prefix — every entry before the first one whose dispatch cell
-    /// the configurations resolve differently — is executed once; the
-    /// interpreter forks per candidate only for the suffix. Each result is
-    /// bit-identical to `self.replay(configs[i])`.
+    /// Replays `self` under every configuration in `configs`, returning
+    /// one [`Replayed`] per configuration, in order — exactly
+    /// `self.replay(configs[i])`.
     #[must_use]
     pub fn replay_candidates(&self, configs: &[&TypeConfig]) -> Vec<Replayed> {
-        let [_, rest @ ..] = configs else {
-            return Vec::new();
-        };
-        if rest.is_empty() || Recorder::is_enabled() || Engine::is_active() {
-            return configs.iter().map(|cfg| self.replay(cfg)).collect();
-        }
-
-        let mut tables: Vec<Tables> = Vec::with_capacity(configs.len());
-        for cfg in configs {
-            let mut t = Tables::default();
-            t.rebuild(self, cfg);
-            tables.push(t);
-        }
-
-        // A cell "differs" when any candidate resolves it otherwise than
-        // candidate 0 does. The prefix ends at the first entry that
-        // consults a differing cell: every entry before it computes with
-        // equal cells on equal inputs (entries without a cell are
-        // format-independent), so its state is bit-identical under every
-        // candidate — safe to share.
-        let differs: Vec<bool> = (0..self.cells.len())
-            .map(|c| {
-                let c0 = tables[0].cells[c];
-                tables[1..].iter().any(|t| t.cells[c] != c0)
-            })
-            .collect();
-        let prefix_end = self
-            .raw_ops
-            .iter()
-            .position(|p| p.cell().is_some_and(|c| differs[c]))
-            .unwrap_or(self.raw_ops.len());
-
-        // Forked states own their buffers, so nothing is recycled here.
-        let mut spare = Spare::default();
-        let mut shared = Regs::default();
-        shared.reset(self, &mut spare);
-        if let Some(at) = self.run_raw(&tables[0], &mut shared, &mut spare, 0, prefix_end) {
-            // The prefix consults only equal cells, so a prefix
-            // divergence is every candidate's divergence.
-            return vec![Replayed::Divergent { at }; configs.len()];
-        }
-
-        let last = configs.len() - 1;
-        (0..configs.len())
-            .map(|k| {
-                // The last candidate takes the shared prefix by move.
-                let mut st = if k == last {
-                    std::mem::take(&mut shared)
-                } else {
-                    shared.clone()
-                };
-                let end = self.raw_ops.len();
-                match self.run_raw(&tables[k], &mut st, &mut spare, prefix_end, end) {
-                    Some(at) => Replayed::Divergent { at },
-                    None => Replayed::Output(self.take_output(&mut st)),
-                }
-            })
-            .collect()
+        configs.iter().map(|cfg| self.replay(cfg)).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flexfloat::{Fx, FxArray, VarSpec};
+    use flexfloat::{Fx, FxArray, Recorder, VarSpec};
     use tp_formats::{BINARY16, BINARY32, BINARY8};
 
     /// A small straight-line kernel parameterized by its input data.
@@ -212,7 +144,6 @@ mod tests {
         for (cfg, got) in cfgs.iter().zip(&multi) {
             assert_eq!(trace.replay(cfg), *got, "{cfg}");
         }
-        // Identical configs share the whole tape as prefix.
         let same = trace.replay_candidates(&[&cfgs[0], &cfgs[0]]);
         assert_eq!(same[0], same[1]);
         assert_eq!(same[0], trace.replay(&cfgs[0]));

@@ -23,11 +23,6 @@
 //! consults as a dispatch cell ([`CellKey`]). A replay resolves the
 //! trace's cells against the candidate configuration once ([`Tables`],
 //! O(cells)), and each raw entry reads its cell, `tables.cells[fmt]`.
-//!
-//! The raw loop ([`Trace::run_raw`]) runs any tape range `[start, end)`
-//! on a [`Regs`] state, so [`Trace::replay_candidates`] (in
-//! [`crate::batch`]) reuses it to share a tape prefix across candidate
-//! configurations.
 
 use std::cell::RefCell;
 
@@ -43,8 +38,8 @@ use crate::tape::{CellKey, FmtRef, OutputPlan, Packed, Tag, Trace, OUTCOME_BIT};
 /// computation — the format it runs in and which operand the promotion
 /// re-rounds — and `dst`/`exact` describe a rounding into a destination.
 /// A cell fills only the fields its key needs.
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Cell {
+#[derive(Clone, Copy)]
+struct Cell {
     /// The format the entry computes in: a leaf's or array's format, the
     /// promoted operand format, or a square root's operand format.
     fmt: FpFormat,
@@ -164,18 +159,18 @@ impl Cell {
 /// sets and cells resolved against one candidate configuration. Rebuilt
 /// once per replay in O(slots + sets + cells), read once per tape entry.
 #[derive(Default)]
-pub(crate) struct Tables {
+struct Tables {
     /// Resolved format of each interned slot.
     slot_fmts: Vec<FpFormat>,
     /// Resolved format of each slot set: its widest slot.
     set_fmts: Vec<FpFormat>,
     /// Resolved dispatch cells; the raw view's `Packed::fmt` indexes here.
-    pub(crate) cells: Vec<Cell>,
+    cells: Vec<Cell>,
 }
 
 impl Tables {
     /// Resolves `trace`'s slots, slot sets and cells against `config`.
-    pub(crate) fn rebuild(&mut self, trace: &Trace, config: &TypeConfig) {
+    fn rebuild(&mut self, trace: &Trace, config: &TypeConfig) {
         self.slot_fmts.clear();
         self.slot_fmts
             .extend(trace.fmt_slots.iter().map(|slot| match *slot {
@@ -200,21 +195,21 @@ impl Tables {
 }
 
 /// Most retired array buffers a thread's scratch will keep for reuse.
-pub(crate) const MAX_SPARE_BUFFERS: usize = 16;
+const MAX_SPARE_BUFFERS: usize = 16;
 
 /// Most bytes of retired array capacity a thread's scratch will keep. A
 /// long-lived `tp-serve` worker replays many differently-shaped traces;
 /// without a cap it would retain the high-water mark of every kernel it
 /// has ever tuned, per thread.
-pub(crate) const MAX_SPARE_BYTES: usize = 4 << 20;
+const MAX_SPARE_BYTES: usize = 4 << 20;
 
 /// Retired array storage, recycled into later replays' arrays. Bounded by
 /// [`MAX_SPARE_BUFFERS`] / [`MAX_SPARE_BYTES`].
 #[derive(Default)]
-pub(crate) struct Spare {
-    pub(crate) bufs: Vec<Vec<f64>>,
+struct Spare {
+    bufs: Vec<Vec<f64>>,
     /// Total capacity bytes currently held in `bufs`.
-    pub(crate) bytes: usize,
+    bytes: usize,
 }
 
 impl Spare {
@@ -233,7 +228,7 @@ impl Spare {
 
     /// Recycles every array buffer of `arrays` (leaving it empty, capacity
     /// kept), dropping any buffer that would break a retention cap.
-    pub(crate) fn retire(&mut self, arrays: &mut Vec<Vec<f64>>) {
+    fn retire(&mut self, arrays: &mut Vec<Vec<f64>>) {
         for buf in arrays.drain(..) {
             let bytes = buf.capacity() * std::mem::size_of::<f64>();
             if self.bufs.len() < MAX_SPARE_BUFFERS && self.bytes + bytes <= MAX_SPARE_BYTES {
@@ -247,12 +242,11 @@ impl Spare {
 /// The raw interpreter's machine state: the value table (plain `f64`s —
 /// a value's format is a static fact of the tape, read from the consuming
 /// entry's cell), the arrays, the extracted outputs and the comparison
-/// cursor. Cloneable, so [`Trace::replay_candidates`] can fork it after a
-/// shared prefix.
-#[derive(Clone, Default)]
-pub(crate) struct Regs {
+/// cursor.
+#[derive(Default)]
+struct Regs {
     vals: Vec<f64>,
-    pub(crate) arrays: Vec<Vec<f64>>,
+    arrays: Vec<Vec<f64>>,
     out: Vec<f64>,
     cmp_seq: usize,
 }
@@ -260,7 +254,7 @@ pub(crate) struct Regs {
 impl Regs {
     /// Resets to the start of `trace`'s tape: slot 0 of the value and
     /// array tables is a dummy so ids index directly.
-    pub(crate) fn reset(&mut self, trace: &Trace, spare: &mut Spare) {
+    fn reset(&mut self, trace: &Trace, spare: &mut Spare) {
         self.vals.clear();
         self.vals.reserve(trace.n_values as usize + 1);
         self.vals.push(0.0);
@@ -281,16 +275,16 @@ impl Regs {
 /// (including early [`Replayed::Divergent`] returns) retires its arrays
 /// into `spare`, so no per-run state leaks into the next replay.
 #[derive(Default)]
-pub(crate) struct Scratch {
-    pub(crate) regs: Regs,
-    pub(crate) spare: Spare,
+struct Scratch {
+    regs: Regs,
+    spare: Spare,
     /// Resolved dispatch tables of the current replay.
-    pub(crate) tables: Tables,
+    tables: Tables,
 }
 
 impl Scratch {
     /// Debug-build check of the between-replays invariants.
-    pub(crate) fn debug_assert_clean(&self) {
+    fn debug_assert_clean(&self) {
         debug_assert!(
             self.regs.arrays.is_empty(),
             "scratch.arrays leaked across replays"
@@ -322,7 +316,7 @@ thread_local! {
 /// Runs `f` with the calling thread's replay scratch, asserting (in debug
 /// builds) the between-replays invariants on entry and exit. `f` must
 /// leave `scratch.arrays` retired.
-pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
+fn with_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
     SCRATCH.with(|scratch| {
         let scratch = &mut *scratch.borrow_mut();
         scratch.debug_assert_clean();
@@ -394,7 +388,7 @@ impl Trace {
     /// The observed interpreter: drives the real `Fx`/`FxArray` API so the
     /// thread's `Recorder` and installed backend see exactly what a live
     /// run would show them.
-    pub(crate) fn replay_fx(&self, config: &TypeConfig) -> Replayed {
+    fn replay_fx(&self, config: &TypeConfig) -> Replayed {
         let fmts = self.resolve_formats(config);
 
         // Slot 0 of each table is a dummy so ids index directly.
@@ -488,7 +482,7 @@ impl Trace {
     /// operation — promotion rule, store rounding, RISC-V min/max, quiet
     /// comparisons — so its outputs are bit-identical to
     /// [`Trace::replay_fx`] (and therefore to live execution).
-    pub(crate) fn replay_raw(&self, config: &TypeConfig) -> Replayed {
+    fn replay_raw(&self, config: &TypeConfig) -> Replayed {
         with_scratch(|scratch| {
             let Scratch {
                 regs,
@@ -497,7 +491,7 @@ impl Trace {
             } = scratch;
             tables.rebuild(self, config);
             regs.reset(self, spare);
-            let result = match self.run_raw(tables, regs, spare, 0, self.raw_ops.len()) {
+            let result = match self.run_raw(tables, regs, spare) {
                 Some(at) => Replayed::Divergent { at },
                 None => Replayed::Output(self.take_output(regs)),
             };
@@ -509,26 +503,19 @@ impl Trace {
     }
 
     /// The program outputs of a completed raw run.
-    pub(crate) fn take_output(&self, regs: &mut Regs) -> Vec<f64> {
+    fn take_output(&self, regs: &mut Regs) -> Vec<f64> {
         match self.plan {
             OutputPlan::FromExtracts => std::mem::take(&mut regs.out),
             OutputPlan::Verbatim => self.outputs.clone(),
         }
     }
 
-    /// The raw interpreter loop, the only one: runs raw entries
-    /// `[start, end)` against `tables`, mutating `regs` in place (new
-    /// arrays draw their storage from `spare`). Every entry that consults
-    /// a format reads its resolved cell, `tables.cells[fmt]`. Returns the
-    /// full-tape divergence site as soon as a recorded comparison flips.
-    pub(crate) fn run_raw(
-        &self,
-        tables: &Tables,
-        regs: &mut Regs,
-        spare: &mut Spare,
-        start: usize,
-        end: usize,
-    ) -> Option<usize> {
+    /// The raw interpreter loop, the only one: runs the raw view against
+    /// `tables`, mutating `regs` in place (new arrays draw their storage
+    /// from `spare`). Every entry that consults a format reads its
+    /// resolved cell, `tables.cells[fmt]`. Returns the full-tape
+    /// divergence site as soon as a recorded comparison flips.
+    fn run_raw(&self, tables: &Tables, regs: &mut Regs, spare: &mut Spare) -> Option<usize> {
         let Regs {
             vals,
             arrays,
@@ -536,7 +523,7 @@ impl Trace {
             cmp_seq,
         } = regs;
         let cells = &tables.cells[..];
-        for p in &self.raw_ops[start..end] {
+        for p in &self.raw_ops {
             let Packed { tag, fmt, a, b } = *p;
             let (a, b) = (a as usize, b as usize);
             match tag {

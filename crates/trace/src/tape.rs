@@ -287,30 +287,6 @@ impl Packed {
         }
     }
 
-    /// The dispatch cell a raw-view entry consults, if its tag consults
-    /// one.
-    pub(crate) fn cell(self) -> Option<usize> {
-        match self.tag {
-            Tag::Leaf
-            | Tag::ArrayNew
-            | Tag::Store
-            | Tag::Cast
-            | Tag::Add
-            | Tag::Sub
-            | Tag::Mul
-            | Tag::Div
-            | Tag::AddCast
-            | Tag::SubCast
-            | Tag::MulCast
-            | Tag::DivCast
-            | Tag::Sqrt
-            | Tag::Min
-            | Tag::Max => Some(usize::from(self.fmt)),
-            Tag::CmpLt | Tag::CmpLe => Some(usize::from(self.fmt & !OUTCOME_BIT)),
-            _ => None,
-        }
-    }
-
     /// The entry with a comparison's recorded outcome masked off — the
     /// part of a raw-view entry that is program shape rather than input
     /// data.

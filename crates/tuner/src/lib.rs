@@ -71,7 +71,7 @@ pub const TUNER_VERSION: u32 = 1;
 pub use builder::{BuildError, TunableBuilder};
 pub use cast_aware::{cast_aware_refine, CastAwareOutcome};
 pub use metrics::{max_relative_error, relative_rms_error, sqnr_db};
-pub use pool::{join2, parallel_map, resolve_workers};
+pub use pool::{parallel_map, resolve_workers};
 pub use registry::{KernelFactory, Registry, RegistryError, SizeVariant};
 pub use report::{
     classify_variables, storage_config, validated_storage_config, PrecisionHistogram,

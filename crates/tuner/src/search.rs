@@ -8,25 +8,17 @@
 //!
 //! # Parallel driver and the determinism contract
 //!
-//! The paper fans this search out over an HPC cluster (Section V); here the
-//! fan-out is [`crate::pool`] scoped threads, in two places:
+//! The paper fans this search out over an HPC cluster, one input set per
+//! node (Section V); here the fan-out is [`crate::pool`] scoped threads,
+//! one input set per worker. Phase 1 tunes the sets independently, each
+//! by one sequential descent, and joins them by per-variable maximum — a
+//! commutative, associative reduction applied in set order, so the join
+//! cannot observe scheduling.
 //!
-//! 1. **Input sets** (phase 1) are tuned independently and joined by
-//!    per-variable maximum — a commutative, associative reduction applied in
-//!    set order, so the join cannot observe scheduling.
-//! 2. **Hypothesis probes**: when enough workers remain beyond the input-set
-//!    fan-out, the narrow- and wide-exponent hypotheses of one binary-search
-//!    probe are evaluated *speculatively* in parallel. The narrow result
-//!    always takes priority, exactly as in the sequential short-circuit, so
-//!    the decision — though not the number of program evaluations — is
-//!    unchanged.
-//!
-//! The contract: [`distributed_search`] returns **bit-identical chosen
-//! formats** (precisions, wide-range flags, and therefore storage mappings)
-//! for any `workers` value. Only [`TuningOutcome::evaluations`] may differ,
-//! because speculative probes evaluate hypotheses the sequential driver
-//! short-circuits past. `tests/determinism.rs` pins both halves of this
-//! contract.
+//! The contract: [`distributed_search`] returns a **bit-identical
+//! outcome** — chosen formats (precisions, wide-range flags, and therefore
+//! storage mappings) and [`TuningOutcome::evaluations`] — for any
+//! `workers` value. `tests/determinism.rs` pins it.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -135,8 +127,8 @@ impl ReplaySummary {
     }
 }
 
-/// Shared tally behind [`ReplaySummary`] — atomics, because speculative
-/// probes evaluate candidates on pool workers.
+/// Shared tally behind [`ReplaySummary`] — atomics, because phase 1 tunes
+/// the input sets on different pool workers.
 #[derive(Debug, Default)]
 struct ReplayCounters {
     replayed: AtomicU64,
@@ -251,42 +243,6 @@ impl ReplayCtx {
         }
     }
 
-    /// Evaluates the narrow and wide hypotheses of one speculative probe
-    /// as a two-candidate pass over `set`'s tape ([`Trace::replay_candidates`]
-    /// shares the tape prefix on which the two configurations agree),
-    /// falling back to live execution per hypothesis on divergence.
-    /// Decision- and tally-equivalent to two independent `eval_candidate`
-    /// calls.
-    #[allow(clippy::too_many_arguments)]
-    fn speculative_pair(
-        &self,
-        app: &dyn Tunable,
-        params: &SearchParams,
-        vars: &[VarSpec],
-        narrow: &Candidate,
-        wide: &Candidate,
-        reference: &[f64],
-        set: usize,
-    ) -> (bool, bool) {
-        let trace = self.trace_for(set).expect("caller checked trace_for");
-        let ncfg = narrow.config(params.type_system, vars);
-        let wcfg = wide.config(params.type_system, vars);
-        let results = trace.replay_candidates(&[&ncfg, &wcfg]);
-        let resolve = |cand: &Candidate, result: &Replayed| match result {
-            Replayed::Output(out) => {
-                self.note_outcome(set, false);
-                relative_rms_error(reference, out) <= params.threshold
-            }
-            Replayed::Divergent { .. } => {
-                self.note_outcome(set, true);
-                candidate_passes(app, params, vars, cand, reference, set)
-            }
-        };
-        let narrow_ok = resolve(narrow, &results[0]);
-        let wide_ok = resolve(wide, &results[1]);
-        (narrow_ok, wide_ok)
-    }
-
     fn summary(&self) -> ReplaySummary {
         ReplaySummary {
             traces: self.traces.iter().flatten().count(),
@@ -325,9 +281,8 @@ pub struct SearchParams {
     pub passes: usize,
     /// Worker threads for the parallel driver. `0` (the default) resolves
     /// via [`crate::resolve_workers`]: the `TP_WORKERS` environment variable
-    /// if set, otherwise [`std::thread::available_parallelism`]. The chosen
-    /// formats are bit-identical at any worker count; only the evaluation
-    /// count varies (speculative probes — see the module docs).
+    /// if set, otherwise [`std::thread::available_parallelism`]. The outcome
+    /// is bit-identical at any worker count (see the module docs).
     pub workers: usize,
     /// Candidate evaluation strategy: live kernel runs, or record/replay
     /// with live fallback. Chosen formats are bit-identical either way.
@@ -466,7 +421,7 @@ pub fn eval_format(ts: TypeSystem, precision_bits: u32, wide: bool) -> FpFormat 
 
 /// One candidate assignment of `(precision, wide)` to every variable —
 /// the unit the search explores and the workers evaluate.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Candidate {
     precision: Vec<u32>,
     wide: Vec<bool>,
@@ -561,10 +516,6 @@ struct SearchState<'a> {
     vars: &'a [VarSpec],
     cand: Candidate,
     evaluations: u64,
-    /// Evaluate the narrow- and wide-exponent hypotheses of a probe
-    /// concurrently instead of short-circuiting. Decision-neutral;
-    /// inflates `evaluations` (see the module docs).
-    speculate: bool,
     /// Per-input-set tapes + divergence latches for replay-first
     /// evaluation (all-`None` in [`TunerMode::Live`]).
     replay: &'a ReplayCtx,
@@ -594,75 +545,16 @@ impl<'a> SearchState<'a> {
         self.cand.wide[i] = false;
         let has_wide_retry = eval_format(self.params.type_system, p, false).exp_bits() < 8;
 
-        if self.speculate && has_wide_retry {
-            // Speculative probe: evaluate both hypotheses concurrently.
-            // Narrow still wins ties, so the decision matches the
-            // sequential short-circuit exactly; only the evaluation count
-            // differs (the wide run happens even when narrow passes).
-            let narrow = self.cand.clone();
-            let mut wide = self.cand.clone();
-            wide.wide[i] = true;
-            let (app, params, vars) = (self.app, self.params, self.vars);
-            let replay = self.replay;
-            let shared_prefix = !Recorder::is_enabled() && replay.trace_for(set).is_some();
-            let (narrow_ok, wide_ok) = if shared_prefix {
-                // Both hypotheses always get evaluated on this branch, so
-                // a shared-prefix multi-candidate pass over the tape is a
-                // strict win over two threads replaying it in full.
-                replay.speculative_pair(app, &params, vars, &narrow, &wide, reference, set)
-            } else if Recorder::is_enabled() {
-                // The caller is recording: capture both probes' counts in
-                // their own scopes (the spawned thread's recorder starts
-                // disabled). Absorb the narrow counts always, the wide
-                // counts only when the narrow hypothesis failed — exactly
-                // the evaluations a sequential run executes — so recorded
-                // totals stay worker-count invariant even though the
-                // speculative wide run happened (it is dropped when narrow
-                // passes, like the speculated work it is).
-                let ((narrow_ok, nc), (wide_ok, wc)) = pool::join2(
-                    || {
-                        Recorder::scoped(|| {
-                            eval_candidate(app, &params, vars, &narrow, reference, set, replay)
-                        })
-                    },
-                    || {
-                        Recorder::scoped(|| {
-                            eval_candidate(app, &params, vars, &wide, reference, set, replay)
-                        })
-                    },
-                );
-                Recorder::absorb(&nc);
-                if !narrow_ok {
-                    Recorder::absorb(&wc);
-                }
-                (narrow_ok, wide_ok)
-            } else {
-                pool::join2(
-                    || eval_candidate(app, &params, vars, &narrow, reference, set, replay),
-                    || eval_candidate(app, &params, vars, &wide, reference, set, replay),
-                )
-            };
-            self.evaluations += 2;
-            if narrow_ok {
-                Some(false)
-            } else if wide_ok {
-                self.cand.wide[i] = true;
-                Some(true)
-            } else {
-                None
-            }
-        } else {
-            if self.passes(reference, set) {
-                return Some(false);
-            }
-            if has_wide_retry {
-                self.cand.wide[i] = true;
-                if self.passes(reference, set) {
-                    return Some(true);
-                }
-            }
-            None
+        if self.passes(reference, set) {
+            return Some(false);
         }
+        if has_wide_retry {
+            self.cand.wide[i] = true;
+            if self.passes(reference, set) {
+                return Some(true);
+            }
+        }
+        None
     }
 
     /// Minimal passing precision for variable `i` with all others fixed.
@@ -715,14 +607,12 @@ impl<'a> SearchState<'a> {
 /// Phase 1 for one input set: descend every variable by binary search for
 /// [`SearchParams::passes`] rounds, repairing after each round. Returns the
 /// tuned candidate and the number of evaluations spent.
-#[allow(clippy::too_many_arguments)]
 fn tune_one_set(
     app: &dyn Tunable,
     params: SearchParams,
     vars: &[VarSpec],
     order: &[usize],
     set: usize,
-    speculate: bool,
     replay: &ReplayCtx,
     reference: &[f64],
 ) -> (Candidate, u64) {
@@ -735,7 +625,6 @@ fn tune_one_set(
             wide: vec![false; vars.len()],
         },
         evaluations: 0,
-        speculate,
         replay,
     };
     for _ in 0..params.passes {
@@ -761,8 +650,8 @@ fn tune_one_set(
 /// both order-free reductions, applied in set order) and re-validates on
 /// every set, repairing if needed.
 ///
-/// The chosen formats are **bit-identical at any worker count**; only
-/// [`TuningOutcome::evaluations`] may vary (see the module docs). If the
+/// The outcome, [`TuningOutcome::evaluations`] included, is
+/// **bit-identical at any worker count** (see the module docs). If the
 /// caller has a [`Recorder`](flexfloat::Recorder) running, operations
 /// executed by worker threads are absorbed back into its counts.
 #[must_use]
@@ -777,9 +666,6 @@ pub fn distributed_search(app: &dyn Tunable, params: SearchParams) -> TuningOutc
     order.sort_by_key(|&i| std::cmp::Reverse(vars[i].elements));
 
     let workers = pool::resolve_workers(params.workers);
-    // Budget: one worker per input set; speculative hypothesis probes only
-    // when a second full wave of workers is available beyond that.
-    let speculate = workers >= 2 * params.input_sets && workers > 1;
 
     // Golden outputs, one per input set, computed once and shared by both
     // phases (implementations are deterministic by the `Tunable` contract,
@@ -840,29 +726,12 @@ pub fn distributed_search(app: &dyn Tunable, params: SearchParams) -> TuningOutc
         pool::parallel_map(workers.min(params.input_sets), params.input_sets, |set| {
             if recording {
                 let ((cand, evals), counts) = Recorder::scoped(|| {
-                    tune_one_set(
-                        app,
-                        params,
-                        &vars,
-                        &order,
-                        set,
-                        speculate,
-                        &replay,
-                        &references[set],
-                    )
+                    tune_one_set(app, params, &vars, &order, set, &replay, &references[set])
                 });
                 (cand, evals, Some(counts))
             } else {
-                let (cand, evals) = tune_one_set(
-                    app,
-                    params,
-                    &vars,
-                    &order,
-                    set,
-                    speculate,
-                    &replay,
-                    &references[set],
-                );
+                let (cand, evals) =
+                    tune_one_set(app, params, &vars, &order, set, &replay, &references[set]);
                 (cand, evals, None)
             }
         });
@@ -899,7 +768,6 @@ pub fn distributed_search(app: &dyn Tunable, params: SearchParams) -> TuningOutc
         vars: &vars,
         cand: joined,
         evaluations: 0,
-        speculate: false,
         replay: &replay,
     };
     loop {
@@ -1107,7 +975,7 @@ mod tests {
         };
         // Worker-thread evaluations were absorbed back: the recording saw
         // at least one FP op per counted evaluation (TwoVars does 8 muls
-        // per run; at workers=1 no speculation inflates the count).
+        // per run).
         let (seq_outcome, seq_counts) = run(1);
         assert!(
             seq_counts.total_fp_ops() >= seq_outcome.evaluations * 8,
@@ -1115,12 +983,10 @@ mod tests {
             seq_counts.total_fp_ops(),
             seq_outcome.evaluations
         );
-        // Recorded counts are worker-count invariant: speculative wide
-        // probes that a sequential run short-circuits past are evaluated
-        // but *not* absorbed, so the totals match exactly even though the
-        // evaluation counters differ.
-        let (_, par_counts) = run(8);
+        // Recorded counts and evaluations are worker-count invariant.
+        let (par_outcome, par_counts) = run(8);
         assert_eq!(seq_counts, par_counts);
+        assert_eq!(seq_outcome.evaluations, par_outcome.evaluations);
     }
 
     #[test]
@@ -1132,7 +998,7 @@ mod tests {
                 assert_eq!(a.precision_bits, b.precision_bits, "workers={workers}");
                 assert_eq!(a.needs_wide_range, b.needs_wide_range, "workers={workers}");
             }
-            assert!(par.evaluations >= seq.evaluations, "workers={workers}");
+            assert_eq!(par.evaluations, seq.evaluations, "workers={workers}");
         }
     }
 
@@ -1163,7 +1029,7 @@ mod tests {
 
     /// Memo hits are tallied like replays: on a straight-line kernel every
     /// evaluation is served from a tape, so the replay count equals the
-    /// evaluation count — with and without speculative probes.
+    /// evaluation count, at any worker count.
     #[test]
     fn memo_hits_are_tallied_as_replays() {
         for workers in [1usize, 8] {

@@ -65,10 +65,7 @@ fn main() {
 
     // Step 3 — tune through the library path, like any built-in.
     let app = registry.resolve("OSC:small").expect("registered");
-    let record = tp_bench::tuned_record(
-        app.as_ref(),
-        tp_tuner::SearchParams::paper(threshold).with_workers(1),
-    );
+    let record = tp_bench::tuned_record(app.as_ref(), tp_tuner::SearchParams::paper(threshold));
     println!(
         "\ndirect tuning: {} evaluations, formats:",
         record.outcome.evaluations

@@ -28,11 +28,8 @@ fn main() {
         println!("  {v}");
     }
 
-    // Step 2: precision tuning. Workers pinned to 1 because this example
-    // prints the evaluation count, and speculative probing on a many-core
-    // machine would make that line machine-dependent (the chosen formats
-    // never are — see DESIGN.md §5).
-    let outcome = distributed_search(&app, SearchParams::paper(threshold).with_workers(1));
+    // Step 2: precision tuning.
+    let outcome = distributed_search(&app, SearchParams::paper(threshold));
     println!(
         "\nstep 2: DistributedSearch ({} program evaluations)",
         outcome.evaluations

@@ -66,8 +66,7 @@ fn every_kernel_every_format_every_backend() {
 /// Chosen formats are backend-invariant: a precision search hosted on the
 /// softfloat or FPU-model datapath descends through bit-identical
 /// evaluations and lands on the same configuration (including evaluation
-/// counts — the backend changes no decision, so not even the speculative
-/// envelope is exercised differently).
+/// counts — the backend changes no decision).
 #[test]
 fn tuning_outcome_is_backend_invariant() {
     let app = tp_kernels::Conv::small();

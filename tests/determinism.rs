@@ -1,27 +1,22 @@
 //! The parallel-search determinism contract (DESIGN.md §5), pinned.
 //!
-//! `distributed_search` must return **byte-identical** chosen formats —
-//! per-variable precisions, wide-range flags, and therefore evaluation and
-//! storage configurations — at any worker count.
+//! `distributed_search` must return a **byte-identical** outcome — chosen
+//! formats (per-variable precisions, wide-range flags, and therefore
+//! evaluation and storage configurations) and the evaluation count — at
+//! any worker count.
 //!
-//! **The evaluation-count caveat**: [`TuningOutcome::evaluations`] is
-//! explicitly *outside* the contract. The parallel driver probes the
-//! narrow- and wide-exponent hypotheses of a candidate speculatively when
-//! spare workers exist, so it *counts* evaluations (the wide run) that the
-//! sequential driver short-circuits past after a narrow pass. The decision
-//! logic always prefers the narrow hypothesis, which is why the counts can
-//! differ while the outcome cannot. These tests therefore compare every
-//! outcome field *except* `evaluations`, and separately assert that the
-//! counts stay within the speculative envelope (parallel never evaluates
-//! fewer candidates than sequential, and at most twice as many).
+//! **Evaluation counts are inside the contract**: the workers split the
+//! search by input set only, and each set runs one sequential descent, so
+//! [`TuningOutcome::evaluations`] is the same sum at every worker count.
+//! The tests compare it next to the [`fingerprint`] of the chosen formats.
 
 use tp_bench::evaluate_app_with;
 use tp_kernels::{all_kernels_small, Conv, Knn};
 use tp_platform::PlatformParams;
 use tp_tuner::{distributed_search, SearchParams, Tunable, TunerMode, TuningOutcome};
 
-/// Everything in a [`TuningOutcome`] except the evaluation count, in a
-/// directly comparable form.
+/// The chosen formats of a [`TuningOutcome`], in a directly comparable
+/// form.
 fn fingerprint(o: &TuningOutcome) -> String {
     let mut s = format!("{}|{:e}|{}", o.app, o.threshold, o.type_system);
     for v in &o.vars {
@@ -38,8 +33,8 @@ fn fingerprint(o: &TuningOutcome) -> String {
     s
 }
 
-/// The satellite requirement: two kernels, workers 1 vs 8, byte-identical
-/// outcome (evaluation counts aside — see the module docs).
+/// Two kernels, workers 1 vs 8: byte-identical outcome, evaluation count
+/// included.
 #[test]
 fn two_kernels_workers_one_vs_eight() {
     for (app, threshold) in [
@@ -55,15 +50,7 @@ fn two_kernels_workers_one_vs_eight() {
             app.name()
         );
         assert_eq!(seq.eval_config(), par.eval_config(), "{}", app.name());
-        // The counts envelope: speculation can only add evaluations, and
-        // adds at most one wide probe per sequential narrow probe.
-        assert!(
-            par.evaluations >= seq.evaluations && par.evaluations <= 2 * seq.evaluations,
-            "{}: {} vs {}",
-            app.name(),
-            seq.evaluations,
-            par.evaluations
-        );
+        assert_eq!(seq.evaluations, par.evaluations, "{}", app.name());
     }
 }
 
@@ -81,6 +68,12 @@ fn full_suite_workers_1_4_8() {
                 fingerprint(&baseline),
                 fingerprint(&outcome),
                 "{}: workers={workers} diverged",
+                app.name()
+            );
+            assert_eq!(
+                baseline.evaluations,
+                outcome.evaluations,
+                "{}: workers={workers} changed the evaluation count",
                 app.name()
             );
         }
@@ -157,9 +150,7 @@ fn metrics_are_decision_transparent() {
             "{tag}"
         );
     }
-    // At a fixed worker count even the evaluation count (which worker
-    // count itself may legitimately change — module docs) must not move
-    // with the metrics mode.
+    // Nor may the evaluation count move with the metrics mode.
     for pair in [(0usize, 2usize), (1, 3)] {
         let (_, w, off) = &runs[pair.0];
         let (_, _, on) = &runs[pair.1];

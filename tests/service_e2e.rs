@@ -13,6 +13,7 @@
 //!   counters over the wire, including after a restart-and-hit pass.
 
 use std::sync::atomic::Ordering;
+use std::sync::{Mutex, PoisonError};
 
 use tp_bench::{evaluate_app_in, tuned_record};
 use tp_kernels::registry;
@@ -164,13 +165,10 @@ fn service_acceptance_concurrent_clients_warm_store_zero_evaluations() {
     assert_eq!(stats2.failed, 0);
 }
 
-/// The live observability plane, end to end: server counters, the store
-/// report and per-frame-type latency histograms all ride one `STATS`
-/// frame, and they survive (indeed, demonstrate) a warm-store restart.
-///
-/// `force_mode` is the programmatic spelling of `TP_METRICS=on` — both
-/// route through the same mode parser — and avoids mutating the process
-/// environment while sibling tests run.
+/// Serializes the tests that force the process-wide metrics mode: one of
+/// them switching metrics off mid-run would drop the other's increments.
+static METRICS_MODE: Mutex<()> = Mutex::new(());
+
 /// Open file descriptors of this process, or `None` where `/proc` is not
 /// available.
 fn open_fds() -> Option<usize> {
@@ -219,9 +217,94 @@ fn closed_connections_release_their_descriptors() {
     handle.join().unwrap();
 }
 
+/// An open connection costs one descriptor on each side: the server
+/// shares the accepted stream between its handler and the shutdown
+/// registry, and the client reads and writes through one stream.
+#[test]
+fn idle_connections_hold_one_descriptor_per_side() {
+    const CONNS: usize = 100;
+    // Absorbs descriptors that sibling tests open meanwhile; a third
+    // descriptor per connection would overshoot it.
+    const SLACK: usize = 100;
+    let (resolver, _runs) = counting_resolver();
+    let server = Server::bind(ServeConfig {
+        concurrency: 1,
+        resolver,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let addr = server.local_addr().to_string();
+    let handle = std::thread::spawn(move || server.run());
+    let Some(baseline) = open_fds() else {
+        return;
+    };
+    // The LIST answer proves the server has accepted the connection and
+    // its handler is running.
+    let clients: Vec<Client> = (0..CONNS)
+        .map(|_| {
+            let mut client = Client::connect(&addr).unwrap();
+            assert!(client.list().unwrap().starts_with("OK"));
+            client
+        })
+        .collect();
+    let open = open_fds().unwrap();
+    assert!(
+        open <= baseline + 2 * CONNS + SLACK,
+        "{open} descriptors open with {CONNS} idle connections, {baseline} before"
+    );
+    drop(clients);
+    Client::connect(&addr).unwrap().shutdown().unwrap();
+    handle.join().unwrap();
+}
+
+/// A frame the server cannot read ends the connection and is counted as
+/// `serve.io_errors` rather than dropped without a trace.
+#[test]
+fn garbage_length_line_counts_as_an_io_error() {
+    use std::io::{Read, Write};
+    let _mode = METRICS_MODE.lock().unwrap_or_else(PoisonError::into_inner);
+    tp_obs::force_mode(tp_obs::MetricsMode::On);
+    let io_errors = || {
+        tp_obs::snapshot()
+            .counter("serve.io_errors")
+            .unwrap_or_default()
+    };
+    let (resolver, _runs) = counting_resolver();
+    let server = Server::bind(ServeConfig {
+        concurrency: 1,
+        resolver,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let addr = server.local_addr().to_string();
+    let handle = std::thread::spawn(move || server.run());
+
+    let before = io_errors();
+    let mut raw = std::net::TcpStream::connect(&addr).unwrap();
+    raw.write_all(b"twelve\n").unwrap();
+    // The server hangs up without an answer (a clean close or a reset,
+    // depending on what it left unread).
+    let mut answer = Vec::new();
+    let _ = raw.read_to_end(&mut answer);
+    assert!(answer.is_empty(), "{answer:?}");
+    assert!(io_errors() > before, "the failed read was not counted");
+
+    Client::connect(&addr).unwrap().shutdown().unwrap();
+    handle.join().unwrap();
+    tp_obs::force_mode(tp_obs::MetricsMode::Off);
+}
+
+/// The live observability plane, end to end: server counters, the store
+/// report and per-frame-type latency histograms all ride one `STATS`
+/// frame, and they survive (indeed, demonstrate) a warm-store restart.
+///
+/// `force_mode` is the programmatic spelling of `TP_METRICS=on` — both
+/// route through the same mode parser — and avoids mutating the process
+/// environment while sibling tests run.
 #[test]
 fn stats_plane_reports_latency_histograms_and_store_counters() {
     use tp_store::json::Value;
+    let _mode = METRICS_MODE.lock().unwrap_or_else(PoisonError::into_inner);
     tp_obs::force_mode(tp_obs::MetricsMode::On);
     let dir = TempDir::new("e2e-stats");
     let (resolver, _runs) = counting_resolver();
